@@ -4,7 +4,7 @@
 Starting the solver with fewer columns than the true rank traps it at a
 poor stationary point: the factors cannot represent the missing
 directions. The rank-one escape step tests whether appending a scaled
-top singular pair (tau u, tau v) of the embedded residual can lower the
+top singular pair (tau u, tau v) of the sparse residual can lower the
 objective, with tau available in closed form; accepted steps grow the
 factorization one column at a time until no profitable direction is left.
 """
@@ -13,7 +13,6 @@ factorization one column at a time until no profitable direction is left.
 from spfact import (
     SolverConfig,
     SynthSpec,
-    adjoint_embed,
     escape_decision,
     gen_synthetic,
     masked_residual,
@@ -42,7 +41,7 @@ for ev in rep_on.escape_events:
     print(f"    sweep {ev.iteration:>4}: sigma {ev.sigma:>9.3f}  tau {ev.tau:.3f}")
 
 print("\nthe closed-form test at the stuck point, for a few lambda values:")
-R = adjoint_embed(masked_residual(gt.y_obs, F_off))
+R = masked_residual(gt.y_obs, F_off).to_csr()
 for lam in (10.0, 40.0, 200.0, 2000.0):
     dec = escape_decision(R, lam, 0.5)
     verdict = "append" if dec.accepted else "stop"

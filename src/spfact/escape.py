@@ -16,6 +16,11 @@ before the append is committed, with a rollback guard for edge cases.
 
 At p = 1 the mu formula degenerates; the classical polar condition
 applies instead: accept iff sigma > lam, with tau^2 = sigma - lam.
+
+The top pair comes from seeded power iteration on the CSR of the residual
+triplets, so an escape costs O(|Z|) per power step and never forms an
+m x n matrix. A pair whose power iteration did not converge is not
+trusted: the step is rejected.
 """
 
 from dataclasses import dataclass, replace
@@ -23,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .norms import Factors, check_p, variational_sum
-from .observed import adjoint_embed, loss_value, masked_residual
-from .spectral import _as_finite_matrix, top_singular_pair
+from .observed import loss_value, masked_residual
+from .spectral import top_singular_pair
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 20000
@@ -37,7 +42,8 @@ class EscapeDecision:
     tau = sqrt(mu) when accepted and 0 otherwise; descent_value is the
     modeled objective change f(tau) (0 when rejected). rip_gap marks an
     append that the 1-D model accepted but the verified objective change
-    rejected, which rolls the append back.
+    rejected, which rolls the append back. power_converged is False when
+    power iteration hit its iteration cap, which rejects the step.
     """
 
     sigma: float
@@ -46,6 +52,7 @@ class EscapeDecision:
     descent_value: float
     accepted: bool
     rip_gap: bool = False
+    power_converged: bool = True
 
 
 def _decide(sigma, lam, p):
@@ -66,14 +73,24 @@ def _decide(sigma, lam, p):
     return EscapeDecision(sigma, mu, 0.0, 0.0, False)
 
 
-def escape_decision(R_dense, lam, p, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Closed-form accept/reject of a rank-one step on a dense residual."""
+def _decide_triple(triple, lam, p):
+    dec = _decide(triple.sigma, lam, p)
+    if triple.converged:
+        return dec
+    return replace(dec, accepted=False, tau=0.0, descent_value=0.0, power_converged=False)
+
+
+def escape_decision(R, lam, p, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Closed-form accept/reject of a rank-one step on a residual matrix.
+
+    R is the embedded residual as a dense array or a scipy sparse matrix
+    (for instance masked_residual(Y, F).to_csr()).
+    """
     p = check_p(p)
     if lam <= 0:
         raise ValueError("lam must be positive for the escape test")
-    R_dense = _as_finite_matrix(R_dense, "residual")
-    triple = top_singular_pair(R_dense, tol, max_iter)
-    return _decide(triple.sigma, lam, p)
+    triple = top_singular_pair(R, tol, max_iter)
+    return _decide_triple(triple, lam, p)
 
 
 def attempt(Y, F, cfg):
@@ -81,13 +98,14 @@ def attempt(Y, F, cfg):
 
     Returns (factors, decision). On acceptance the factors gain the
     balanced column pair (tau u, tau v); on rejection (including the
-    rollback path) the input factors are returned unchanged.
+    rollback path and an unconverged power iteration) the input factors
+    are returned unchanged.
     """
     if cfg.lam <= 0:
         raise ValueError("lam must be positive for the escape test")
-    R = adjoint_embed(masked_residual(Y, F))
+    R = masked_residual(Y, F).to_csr()
     triple = top_singular_pair(R, POWER_TOL, POWER_MAX_ITER)
-    dec = _decide(triple.sigma, cfg.lam, cfg.p)
+    dec = _decide_triple(triple, cfg.lam, cfg.p)
     if not dec.accepted:
         return F, dec
     tau = dec.tau

@@ -131,7 +131,7 @@ def predicted_values(Y, F):
     _check_shapes(Y, F)
     if Y.nnz == 0:
         return np.zeros(0)
-    return np.einsum("ij,ij->i", F.U[Y.row], F.V[Y.col])
+    return np.einsum("ij,ij->i", F.U.take(Y.row, axis=0), F.V.take(Y.col, axis=0))
 
 
 def masked_residual(Y, F):

@@ -1,15 +1,20 @@
-"""Dense spectral kernels: full SVD and the dominant singular pair.
+"""Spectral kernels: full SVD and the dominant singular pair.
 
 Everything downstream (norm evaluation, balanced factorizations, the
 rank-one escape step) goes through these two routines, so their sign and
 ordering conventions are fixed here once: singular values sorted
 descending, and the first nonzero entry of every left singular vector
 made nonnegative (right vector flipped along with it).
+
+full_svd works on dense matrices. top_singular_pair touches its input only
+through matvecs, so it also takes a scipy sparse matrix: each power step
+then costs O(nnz) and no dense m x n array is formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 # Fixed seed for the power-iteration start vector. A deterministic start
 # keeps whole solves bit-reproducible for a given input.
@@ -21,6 +26,17 @@ def _as_finite_matrix(X, name="matrix"):
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if not np.isfinite(X).all():
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return X
+
+
+def _as_finite_operator(X, name="matrix"):
+    # Dense input as in _as_finite_matrix; sparse input as float CSR, with
+    # the finiteness check on its stored values.
+    if not sp.issparse(X):
+        return _as_finite_matrix(X, name)
+    X = sp.csr_matrix(X, dtype=float)
+    if not np.isfinite(X.data).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return X
 
@@ -68,16 +84,26 @@ def top_singular_pair(X, tol=1e-9, max_iter=10000):
     random start, declaring convergence when the cross residual
     |X.T u - sigma v| falls below tol * sigma. If max_iter is exhausted
     first, the best iterate is returned with converged=False.
+
+    X is a dense array or a scipy sparse matrix. A sparse X is applied
+    through CSR matvecs of X and of a transposed CSR built once, so each
+    step costs O(nnz).
     """
-    X = _as_finite_matrix(X)
+    X = _as_finite_operator(X)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     m, n = X.shape
+    if sp.issparse(X):
+        Xt = X.T.tocsr()
+        nonzero = X.data.any()
+    else:
+        Xt = X.T
+        nonzero = X.any()
 
     rng = np.random.default_rng(_POWER_SEED)
-    if not X.any():
+    if not nonzero:
         u = np.zeros(m)
         v = np.zeros(n)
         u[0] = 1.0
@@ -90,7 +116,7 @@ def top_singular_pair(X, tol=1e-9, max_iter=10000):
     v = None
     converged = False
     for _ in range(max_iter):
-        w = X.T @ u
+        w = Xt @ u
         if v is not None and np.linalg.norm(w - sigma * v) <= tol * sigma:
             converged = True
             break

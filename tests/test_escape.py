@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from spfact import (
     objective,
     predicted_values,
     SynthSpec,
+    adjoint_embed,
+    masked_residual,
 )
+from spfact import escape
 from spfact.escape import _decide
 
 
@@ -150,3 +155,49 @@ def test_rollback_path_restores_factors():
     dec_edge = _decide(sigma, lam_edge, p)
     assert dec_edge.accepted
     assert f_curve(dec_edge.tau, sigma, lam_edge, p) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_escape_decision_sparse_matches_dense():
+    rng = np.random.default_rng(3)
+    gt = gen_synthetic(SynthSpec(30, 20, 3, 10.0, 0.5, 0))
+    F = Factors(0.01 * rng.standard_normal((30, 2)), 0.01 * rng.standard_normal((20, 2)))
+    R = masked_residual(gt.y_obs, F)
+    for lam in (1.0, 1e4):
+        dense = escape_decision(adjoint_embed(R), lam, 0.5)
+        sparse = escape_decision(R.to_csr(), lam, 0.5)
+        assert sparse.accepted == dense.accepted
+        assert sparse.sigma == pytest.approx(dense.sigma, rel=1e-9)
+        assert sparse.power_converged and dense.power_converged
+
+
+def test_attempt_memory_stays_sparse():
+    # a dense embed of the residual alone would take m * n * 8 = 96 MB
+    m, n, nnz = 4000, 3000, 10000
+    rng = np.random.default_rng(4)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    F = Factors(0.01 * rng.standard_normal((m, 2)), 0.01 * rng.standard_normal((n, 2)))
+    cfg = SolverConfig(p=0.5, lam=1.0, init_width=2)
+    tracemalloc.start()
+    try:
+        _, dec = attempt(Y, F, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.power_converged
+    assert peak < 10 * 2**20
+
+
+def test_unconverged_power_iteration_rejects(monkeypatch):
+    # the fully observed case that test_appended_pair_balanced_and_descending
+    # accepts, with power iteration cut off after one step
+    rng = np.random.default_rng(0)
+    Y = ObservedMatrix.from_dense(rng.standard_normal((8, 6)) * 2.0)
+    F = Factors(0.01 * rng.standard_normal((8, 2)), 0.01 * rng.standard_normal((6, 2)))
+    cfg = SolverConfig(p=0.5, lam=1.0, init_width=2)
+    monkeypatch.setattr(escape, "POWER_MAX_ITER", 1)
+    F2, dec = attempt(Y, F, cfg)
+    assert F2 is F
+    assert not dec.accepted and not dec.power_converged
+    assert dec.tau == 0.0 and dec.descent_value == 0.0
+    assert dec.sigma > cfg.lam and not dec.rip_gap

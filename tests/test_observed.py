@@ -149,3 +149,15 @@ def test_csr_matches_dense_embedding():
     rng = np.random.default_rng(4)
     R = ObservedMatrix(4, 5, [0, 1, 3, 3], [4, 2, 0, 1], rng.standard_normal(4))
     assert np.array_equal(R.to_csr().toarray(), adjoint_embed(R))
+
+
+def test_predicted_values_matches_fancy_index_gather():
+    rng = np.random.default_rng(11)
+    for m, n, d, nnz in [(7, 5, 3, 0), (7, 5, 1, 12), (30, 20, 1, 200), (30, 20, 6, 350)]:
+        lin = rng.choice(m * n, size=nnz, replace=False)
+        Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+        F = Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+        ref = np.einsum("ij,ij->i", F.U[Y.row], F.V[Y.col])
+        got = predicted_values(Y, F)
+        assert got.shape == (nnz,)
+        assert np.array_equal(got, ref)

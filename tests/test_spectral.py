@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spfact import full_svd, top_singular_pair
 
@@ -126,3 +127,49 @@ def test_top_pair_validates_arguments():
         top_singular_pair(np.eye(2), tol=1e-8, max_iter=0)
     with pytest.raises(ValueError):
         top_singular_pair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_top_pair_sparse_matches_dense():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        m, n = rng.integers(2, 40, size=2)
+        X = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
+        d = top_singular_pair(X, tol=1e-12, max_iter=50000)
+        s = top_singular_pair(sp.csr_matrix(X), tol=1e-12, max_iter=50000)
+        assert s.converged and d.converged
+        assert abs(s.sigma - d.sigma) <= 1e-9 * d.sigma
+        # both apply the fixed sign convention, so the vectors agree unflipped
+        assert np.allclose(s.u, d.u, atol=1e-6)
+        assert np.allclose(s.v, d.v, atol=1e-6)
+
+
+def test_top_pair_sparse_zero_matrix():
+    # an all-zero pattern and one that stores explicit zeros both take the
+    # zero shortcut of the dense call
+    stored_zeros = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 2])), shape=(3, 4))
+    assert stored_zeros.nnz == 2
+    d = top_singular_pair(np.zeros((3, 4)), tol=1e-10, max_iter=10)
+    for X in (sp.csr_matrix((3, 4)), stored_zeros):
+        t = top_singular_pair(X, tol=1e-10, max_iter=10)
+        assert t.converged
+        assert t.sigma == 0.0
+        assert np.array_equal(t.u, d.u)
+        assert np.array_equal(t.v, d.v)
+
+
+def test_top_pair_sparse_nonconverged_flag():
+    rng = np.random.default_rng(6)
+    Q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    X = Q @ np.diag(np.linspace(1.0, 0.999, 20)) @ Q.T
+    d = top_singular_pair(X, tol=1e-12, max_iter=2)
+    t = top_singular_pair(sp.csr_matrix(X), tol=1e-12, max_iter=2)
+    assert not t.converged
+    assert abs(t.sigma - d.sigma) <= 1e-9 * d.sigma
+
+
+def test_top_pair_sparse_rejects_nonfinite():
+    for bad in (np.nan, np.inf):
+        X = sp.csr_matrix(np.eye(3))
+        X.data[1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            top_singular_pair(X)
