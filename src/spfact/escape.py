@@ -103,8 +103,8 @@ def attempt(Y, F, cfg):
     """
     if cfg.lam <= 0:
         raise ValueError("lam must be positive for the escape test")
-    R = masked_residual(Y, F).to_csr()
-    triple = top_singular_pair(R, POWER_TOL, POWER_MAX_ITER)
+    R = masked_residual(Y, F)
+    triple = top_singular_pair(R.to_csr(), POWER_TOL, POWER_MAX_ITER)
     dec = _decide_triple(triple, cfg.lam, cfg.p)
     if not dec.accepted:
         return F, dec
@@ -113,7 +113,7 @@ def attempt(Y, F, cfg):
         np.hstack([F.U, tau * triple.u[:, None]]),
         np.hstack([F.V, tau * triple.v[:, None]]),
     )
-    obj_old = loss_value(Y, F) + cfg.lam * variational_sum(F, cfg.p)
+    obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
     obj_new = loss_value(Y, F_new) + cfg.lam * variational_sum(F_new, cfg.p)
     if obj_new < obj_old:
         return F_new, dec

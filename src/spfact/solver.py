@@ -24,7 +24,7 @@ import numpy as np
 
 from . import escape as _escape
 from .norms import Factors, check_p, column_energies, variational_sum
-from .observed import loss_value, masked_residual
+from .observed import masked_residual
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,28 @@ class EscapeEvent(NamedTuple):
 
 @dataclass
 class SolveReport:
+    """stop_reason is "converged" (stagnated with no escape left to try),
+    "escape_rejected", "escape_unconverged" (power iteration hit its cap)
+    or "max_iter"; converged is False for the last two."""
+
     final_width: int
     objective_trace: np.ndarray
     iters: int
     converged: bool
     escapes: int
+    stop_reason: str
     escape_events: list = field(default_factory=list)
 
 
 def objective(Y, F, cfg):
     """Masked half squared loss plus lam * sum_i c_i^p."""
-    return loss_value(Y, F) + cfg.lam * variational_sum(F, cfg.p)
+    return _objective(masked_residual(Y, F), F, cfg)
+
+
+def _objective(R, F, cfg):
+    # The objective at F from its masked residual R, with the float
+    # operations of loss_value(Y, F) + lam * variational_sum(F, p).
+    return 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
 
 
 def _weights(F, p):
@@ -100,67 +111,66 @@ def _weights(F, p):
     return p * c ** (p - 1.0)
 
 
+def _gradient(R, A, B, w, lam):
+    # Block A's gradient with B held fixed: (A, B, R) is (U, V, P*(residual))
+    # for the U block and (V, U, P*(residual)^T) for the V block.
+    G = -(R @ B)
+    if lam:
+        G += lam * (A * w)
+    return G
+
+
+def _hessian(B, w, lam, side):
+    H = B.T @ B
+    if lam:
+        H[np.diag_indices_from(H)] += lam * w
+    if np.linalg.eigvalsh(H)[0] < 1e-12 * np.trace(H):
+        raise np.linalg.LinAlgError(
+            f"surrogate Hessian for {side} is numerically singular "
+            "(prune degenerate columns or use lam > 0)"
+        )
+    return H
+
+
+def _block_update(R, A, B, w, lam, side):
+    # Minimizer of the block's quadratic surrogate: A - G H^-1.
+    G = _gradient(R, A, B, w, lam)
+    return A - np.linalg.solve(_hessian(B, w, lam, side), G.T).T
+
+
 def grad_U(Y, F, cfg):
     """Gradient of the objective in U: -P*(residual) V + lam U W."""
     w = _weights(F, cfg.p)
-    R = masked_residual(Y, F)
-    G = -(R.to_csr() @ F.V)
-    if cfg.lam:
-        G += cfg.lam * (F.U * w)
-    return G
+    return _gradient(masked_residual(Y, F).to_csr(), F.U, F.V, w, cfg.lam)
 
 
 def grad_V(Y, F, cfg):
     """Gradient of the objective in V: -P*(residual)^T U + lam V W."""
     w = _weights(F, cfg.p)
-    R = masked_residual(Y, F)
-    G = -(R.to_csr().T @ F.U)
-    if cfg.lam:
-        G += cfg.lam * (F.V * w)
-    return G
-
-
-def _check_conditioning(H, side):
-    eigs = np.linalg.eigvalsh(H)
-    if eigs[0] < 1e-12 * np.trace(H):
-        raise np.linalg.LinAlgError(
-            f"surrogate Hessian for {side} is numerically singular "
-            "(prune degenerate columns or use lam > 0)"
-        )
+    return _gradient(masked_residual(Y, F).to_csr().T, F.V, F.U, w, cfg.lam)
 
 
 def surrogate_hessian_U(F, cfg):
     """d x d block Hessian of the U-surrogate: V^T V + lam W."""
-    H = F.V.T @ F.V
-    if cfg.lam:
-        H[np.diag_indices_from(H)] += cfg.lam * _weights(F, cfg.p)
-    else:
-        _weights(F, cfg.p)  # enforce the no-zero-column contract
-    _check_conditioning(H, "U")
-    return H
+    return _hessian(F.V, _weights(F, cfg.p), cfg.lam, "U")
 
 
 def surrogate_hessian_V(F, cfg):
     """d x d block Hessian of the V-surrogate: U^T U + lam W."""
-    H = F.U.T @ F.U
-    if cfg.lam:
-        H[np.diag_indices_from(H)] += cfg.lam * _weights(F, cfg.p)
-    else:
-        _weights(F, cfg.p)
-    _check_conditioning(H, "V")
-    return H
+    return _hessian(F.U, _weights(F, cfg.p), cfg.lam, "V")
 
 
-def bsum_step(Y, F, cfg):
-    """One Gauss-Seidel sweep: surrogate-minimizing U update, then V."""
-    GU = grad_U(Y, F, cfg)
-    HU = surrogate_hessian_U(F, cfg)
-    U2 = F.U - np.linalg.solve(HU, GU.T).T
-    F1 = Factors(U2, F.V)
-    GV = grad_V(Y, F1, cfg)
-    HV = surrogate_hessian_V(F1, cfg)
-    V2 = F.V - np.linalg.solve(HV, GV.T).T
-    return Factors(U2, V2)
+def bsum_step(Y, F, cfg, R=None):
+    """One Gauss-Seidel sweep: surrogate-minimizing U update, then V.
+
+    R, the masked residual at F if the caller holds it, spares one gather.
+    """
+    R = masked_residual(Y, F) if R is None else R
+    U = _block_update(R.to_csr(), F.U, F.V, _weights(F, cfg.p), cfg.lam, "U")
+    F1 = Factors(U, F.V)
+    R1 = masked_residual(Y, F1)
+    V = _block_update(R1.to_csr().T, F1.V, F1.U, _weights(F1, cfg.p), cfg.lam, "V")
+    return Factors(U, V)
 
 
 def prune(F, thres):
@@ -211,7 +221,8 @@ def solve(Y, cfg, F0=None):
     denominator is replaced by 1 when the iterate is the zero matrix).
     With escapes enabled, each time the test fires a rank-one escape is
     attempted; an accepted escape appends a column and iteration resumes,
-    a rejected one (or an exhausted budget) terminates the solve.
+    a rejected one (or an exhausted budget) terminates the solve. The
+    report's stop_reason records which of these ended it.
 
     Returns (Factors, SolveReport). The report's objective trace has one
     entry for the initial point, one per sweep, and one per accepted
@@ -231,44 +242,50 @@ def solve(Y, cfg, F0=None):
         F = F0
     F = prune(F, cfg.prune_thres)
 
-    trace = [objective(Y, F, cfg)]
+    # R is the masked residual at F throughout: the next sweep's U half
+    # and the trace entry both read it.
+    R = masked_residual(Y, F)
+    trace = [_objective(R, F, cfg)]
     events = []
-    escapes = 0
-    iters = 0
-    converged = False
+    stop_reason = "max_iter"
     F_prev = F
     self_prev = _frob_inner(F, F)
     for t in range(1, cfg.max_iter + 1):
-        iters = t
         if column_energies(F).max() > 0.0:
-            F = prune(bsum_step(Y, F, cfg), cfg.prune_thres)
-        trace.append(objective(Y, F, cfg))
+            F = prune(bsum_step(Y, F, cfg, R), cfg.prune_thres)
+            R = masked_residual(Y, F)
+        trace.append(_objective(R, F, cfg))
         self_new = _frob_inner(F, F)
         d2 = self_new + self_prev - 2.0 * _frob_inner(F, F_prev)
         den = np.sqrt(max(self_prev, 0.0))
         rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         F_prev = F
         self_prev = self_new
-        if rel < cfg.conv_tol:
-            if cfg.escape_enabled and cfg.lam > 0 and escapes < cfg.escape_budget:
-                F_new, dec = _escape.attempt(Y, F, cfg)
-                if dec.accepted:
-                    F = prune(F_new, cfg.prune_thres)
-                    escapes += 1
-                    trace.append(objective(Y, F, cfg))
-                    events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
-                    F_prev = F
-                    self_prev = _frob_inner(F, F)
-                    continue
-            converged = True
+        if rel >= cfg.conv_tol:
+            continue
+        if not (cfg.escape_enabled and cfg.lam > 0 and len(events) < cfg.escape_budget):
+            stop_reason = "converged"
             break
+        F_new, dec = _escape.attempt(Y, F, cfg)
+        if not dec.accepted:
+            stop_reason = (
+                "escape_rejected" if dec.power_converged else "escape_unconverged"
+            )
+            break
+        F = prune(F_new, cfg.prune_thres)
+        R = masked_residual(Y, F)
+        trace.append(_objective(R, F, cfg))
+        events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
+        F_prev = F
+        self_prev = _frob_inner(F, F)
 
     report = SolveReport(
         final_width=F.width,
         objective_trace=np.asarray(trace),
-        iters=iters,
-        converged=converged,
-        escapes=escapes,
+        iters=t,
+        converged=stop_reason in ("converged", "escape_rejected"),
+        escapes=len(events),
+        stop_reason=stop_reason,
         escape_events=events,
     )
     return F, report

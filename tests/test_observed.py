@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spfact import (
     masked_residual,
     predicted_values,
 )
+from spfact import observed
 
 
 def hand_case():
@@ -161,3 +164,43 @@ def test_predicted_values_matches_fancy_index_gather():
         got = predicted_values(Y, F)
         assert got.shape == (nnz,)
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "block, d, nnz",
+    [
+        (5, 3, 0),  # empty observation set
+        (5, 1, 23),  # d == 1: five entries per block, ragged last block of 3
+        (7, 2, 40),  # three entries per block, ragged last block of 1
+        (4, 6, 31),  # d > block: one entry per block
+        (2**15, 6, 31),  # a single block
+    ],
+)
+def test_predicted_values_blocked_matches_one_shot(monkeypatch, block, d, nnz):
+    rng = np.random.default_rng(12)
+    m, n = 9, 8
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    F = Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+    ref = np.einsum("ij,ij->i", F.U.take(Y.row, axis=0), F.V.take(Y.col, axis=0))
+    monkeypatch.setattr(observed, "_BLOCK", block)
+    got = predicted_values(Y, F)
+    assert got.shape == (nnz,)
+    assert np.array_equal(got, ref)
+
+
+def test_predicted_values_memory_stays_blocked():
+    # the one-shot gather holds two nnz x d temporaries: 2 * 120k * 20 * 8 B
+    # = 38 MB; blocked, the output (0.96 MB) dominates
+    m, n, nnz, d = 4000, 3000, 120_000, 20
+    rng = np.random.default_rng(5)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    F = Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        predicted_values(Y, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

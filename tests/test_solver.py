@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spfact import (
     surrogate_hessian_U,
     surrogate_hessian_V,
 )
+from spfact import escape
 
 
 def one_by_one():
@@ -384,3 +386,59 @@ def test_step_cost_scales_linearly_in_observations():
         times.append(best)
     ratio = times[1] / times[0]
     assert ratio <= 8.0, f"per-sweep cost ratio {ratio:.2f} not within 2x of linear"
+
+
+# ----------------------------------------------------------------------
+# the fused sweep inside solve, and why solve stopped
+
+
+def _hand_solve(Y, cfg, rep):
+    # solve() rebuilt from the public pieces: bsum_step -> prune -> objective
+    # per sweep, and attempt -> prune -> objective at each recorded escape
+    F = prune(random_factors(Y, cfg), cfg.prune_thres)
+    trace = [objective(Y, F, cfg)]
+    escape_at = {e.iteration: e for e in rep.escape_events}
+    for t in range(1, rep.iters + 1):
+        F = prune(bsum_step(Y, F, cfg), cfg.prune_thres)
+        trace.append(objective(Y, F, cfg))
+        if t in escape_at:
+            F_new, dec = escape.attempt(Y, F, cfg)
+            assert dec.accepted
+            F = prune(F_new, cfg.prune_thres)
+            trace.append(objective(Y, F, cfg))
+            assert escape_at[t].trace_index == len(trace) - 1
+    return F, np.asarray(trace)
+
+
+@pytest.mark.parametrize("escapes", [False, True])
+def test_solve_matches_hand_loop_bit_for_bit(escapes):
+    gt = gen_synthetic(SynthSpec(20, 20, 2, float("inf"), 0.4, 3))
+    cfg = SolverConfig(p=0.5, lam=0.5, init_width=1, seed=1, escape_enabled=escapes)
+    F, rep = solve(gt.y_obs, cfg)
+    assert rep.escapes == (1 if escapes else 0)
+    F_hand, trace = _hand_solve(gt.y_obs, cfg, rep)
+    assert np.array_equal(rep.objective_trace, trace)
+    assert np.array_equal(F.U, F_hand.U) and np.array_equal(F.V, F_hand.V)
+
+
+def test_solve_stop_reasons(monkeypatch):
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2)
+    # two escapes take the width from 2 to the rank 4 and spend the default
+    # budget; a larger budget lets a third escape be tried and rejected
+    for reason, c in [
+        ("converged", cfg),
+        ("escape_rejected", replace(cfg, escape_check_max=5)),
+        ("max_iter", replace(cfg, max_iter=3)),
+    ]:
+        _, rep = solve(gt.y_obs, c)
+        assert rep.stop_reason == reason
+        assert rep.converged == (reason != "max_iter")
+        assert rep.final_width == (2 if reason == "max_iter" else 4)
+    # power iteration cut off after one step: the first escape is rejected
+    # as untrusted, and the solve does not report convergence
+    monkeypatch.setattr(escape, "POWER_MAX_ITER", 1)
+    _, rep = solve(gt.y_obs, cfg)
+    assert rep.stop_reason == "escape_unconverged"
+    assert not rep.converged
+    assert rep.escapes == 0 and rep.final_width == 2
