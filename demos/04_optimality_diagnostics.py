@@ -17,7 +17,6 @@ import numpy as np
 from spfact import (
     SolverConfig,
     SynthSpec,
-    adjoint_embed,
     balanced_factorization,
     factorized_stationarity,
     gen_synthetic,
@@ -46,7 +45,7 @@ print(f"   rebalancing never raises the objective: "
       f"{objective(gt.y_obs, Fb, cfg):.6f} <= {objective(gt.y_obs, F, cfg):.6f}")
 
 X = F.matrix()
-G = adjoint_embed(masked_residual(gt.y_obs, F)) / cfg.lam
+G = masked_residual(gt.y_obs, F).to_csr().toarray() / cfg.lam
 chk = subgradient_check(X, G, cfg.p, tol=1e-3)
 print(f"\n3. subgradient membership of P*(residual)/lam at X:")
 print(f"   member={chk.member}, diagonal residual {chk.diag_residual:.2e}, "

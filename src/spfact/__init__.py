@@ -6,7 +6,6 @@ rank-one escape steps, and optimality diagnostics.
 """
 
 from .datasets import (
-    GroundTruth,
     SynthSpec,
     gen_synthetic,
     load_fixture,
@@ -16,68 +15,27 @@ from .datasets import (
     save_fixture,
     split,
 )
-from .diagnostics import (
-    StationarityReport,
-    SubgradientCheck,
-    factorized_stationarity,
-    subgradient_check,
-    variational_gap,
-)
-from .escape import EscapeDecision, attempt, escape_decision
+from .diagnostics import factorized_stationarity, subgradient_check, variational_gap
+from .escape import escape_decision
 from .norms import (
     Factors,
     balanced_factorization,
-    check_p,
-    column_energies,
     schatten_p_power,
     variational_product,
     variational_sum,
 )
-from .observed import (
-    MaskSplit,
-    ObservedMatrix,
-    adjoint_embed,
-    loss_value,
-    masked_residual,
-    predicted_values,
-)
-from .solver import (
-    EscapeEvent,
-    SolveReport,
-    SolverConfig,
-    bsum_step,
-    grad_U,
-    grad_V,
-    objective,
-    prune,
-    random_factors,
-    solve,
-    surrogate_hessian_U,
-    surrogate_hessian_V,
-)
-from .spectral import SpectralTriple, full_svd, top_singular_pair
+from .observed import ObservedMatrix, loss_value, masked_residual
+from .solver import SolverConfig, grad_U, grad_V, objective, solve, surrogate_hessian_U
+from .spectral import full_svd
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EscapeDecision",
-    "EscapeEvent",
     "Factors",
-    "GroundTruth",
-    "MaskSplit",
     "ObservedMatrix",
-    "SolveReport",
     "SolverConfig",
-    "SpectralTriple",
-    "StationarityReport",
-    "SubgradientCheck",
     "SynthSpec",
-    "adjoint_embed",
-    "attempt",
     "balanced_factorization",
-    "bsum_step",
-    "check_p",
-    "column_energies",
     "escape_decision",
     "factorized_stationarity",
     "full_svd",
@@ -90,9 +48,6 @@ __all__ = [
     "nmae",
     "objective",
     "parse_movielens",
-    "predicted_values",
-    "prune",
-    "random_factors",
     "relative_error",
     "save_fixture",
     "schatten_p_power",
@@ -100,8 +55,6 @@ __all__ = [
     "split",
     "subgradient_check",
     "surrogate_hessian_U",
-    "surrogate_hessian_V",
-    "top_singular_pair",
     "variational_gap",
     "variational_product",
     "variational_sum",

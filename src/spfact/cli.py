@@ -8,8 +8,9 @@ Subcommands
 
 Runs are emitted as CSV with a fixed column order (see CSV_COLUMNS), one
 row per configuration, plus an optional JSON mirror that also carries
-per-run error messages. Output is deterministic for fixed inputs and
-seeds; wall_ms is the one exception unless --no-timing zeroes it.
+each run's stop reason and error message. Output is deterministic for
+fixed inputs and seeds; wall_ms is the one exception unless --no-timing
+zeroes it.
 
 A 'key = value' config file (--config) supplies flag defaults; explicit
 flags win. The SPFACT_OUTDIR environment variable sets the default
@@ -118,7 +119,7 @@ def _report_failures(runs):
     return 1 if failed else 0
 
 
-def _run_one(suite, y_train, cfg, meta, no_timing, re_fn=None, nmae_fn=None):
+def _run_one(suite, y_train, cfg, meta, no_timing, re_fn, nmae_fn):
     """Solve one configuration and assemble a full RunRecord row."""
     row = dict(meta)
     row.update(
@@ -140,6 +141,8 @@ def _run_one(suite, y_train, cfg, meta, no_timing, re_fn=None, nmae_fn=None):
             objective=float(report.objective_trace[-1]),
             re=re_fn(F) if re_fn else float("nan"),
             nmae=nmae_fn(F) if nmae_fn else float("nan"),
+            stop_reason=report.stop_reason,
+            converged=bool(report.converged),
         )
     except Exception as exc:  # noqa: BLE001 - finish the remaining runs
         error = f"{type(exc).__name__}: {exc}"
@@ -150,31 +153,78 @@ def _run_one(suite, y_train, cfg, meta, no_timing, re_fn=None, nmae_fn=None):
             objective=float("nan"),
             re=float("nan"),
             nmae=float("nan"),
+            stop_reason="",
+            converged=False,
         )
     row["wall_ms"] = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
     return row, error
 
 
-def _solver_config(args, p, lam, init_rank, seed, escape_on):
-    return SolverConfig(
-        p=p,
-        lam=lam,
-        init_width=init_rank,
-        prune_thres=args.prune_thres,
-        max_iter=args.max_iter,
-        conv_tol=args.conv_tol,
-        escape_enabled=escape_on,
-        escape_check_max=args.escape_budget,
-        seed=seed,
+def _run_grid(suite, instance, grid, args):
+    """Solve each (init_rank, p, lam, escape_on, seed) cell, in grid order.
+
+    instance(seed) returns (y_train, meta, re_fn, nmae_fn) for that seed.
+    """
+    runs = []
+    for init_rank, p, lam, escape_on, seed in grid:
+        y_train, meta, re_fn, nmae_fn = instance(seed)
+        cfg = SolverConfig(
+            p=p,
+            lam=lam,
+            init_width=init_rank,
+            prune_thres=args.prune_thres,
+            max_iter=args.max_iter,
+            conv_tol=args.conv_tol,
+            escape_enabled=escape_on,
+            escape_check_max=args.escape_budget,
+            seed=seed,
+        )
+        runs.append(_run_one(suite, y_train, cfg, meta, args.no_timing, re_fn, nmae_fn))
+    return runs
+
+
+def _synthetic(args):
+    """One generated instance per seed at the suite's geometry, scored by RE."""
+    meta = dict(
+        m=args.m, n=args.n, true_rank=args.rank, missing=args.missing, snr_db=args.snr
+    )
+
+    def instance(seed):
+        spec = SynthSpec(args.m, args.n, args.rank, args.snr, args.missing, seed)
+        gt = gen_synthetic(spec)
+        return gt.y_obs, meta, lambda F: relative_error(F, gt.x_true, gt.test_mask), None
+
+    return instance
+
+
+def _observed_meta(y_train, true_rank):
+    return dict(
+        m=y_train.m,
+        n=y_train.n,
+        true_rank=true_rank,
+        missing=1.0 - y_train.nnz / (y_train.m * y_train.n),
+        snr_db=float("nan"),
     )
 
 
-def _add_solver_flags(sp):
-    sp.add_argument("--prune-thres", type=float, default=1e-5)
-    sp.add_argument("--max-iter", type=int, default=1000)
-    sp.add_argument("--conv-tol", type=float, default=1e-4)
-    sp.add_argument("--escape-budget", type=int, default=None)
-    sp.add_argument("--no-timing", action="store_true", help="write wall_ms as 0")
+def _ratings(obs, args):
+    """One train/test split of a ratings set per seed, scored by NMAE."""
+
+    def instance(seed):
+        ms = split(obs, args.train_frac, seed)
+        nmae_fn = lambda F: nmae(F, ms.test, args.rmin, args.rmax)
+        return ms.train, _observed_meta(ms.train, 0), None, nmae_fn
+
+    return instance
+
+
+def _fixture(obs, truth, true_rank):
+    """The same fixture for every seed, scored by RE when it has held-out truth."""
+    meta = _observed_meta(obs, true_rank)
+    re_fn = None
+    if truth is not None and truth.test_mask[0].size:
+        re_fn = lambda F: relative_error(F, truth.x_true, truth.test_mask)
+    return lambda seed: (obs, meta, re_fn, None)
 
 
 # ----------------------------------------------------------------------
@@ -228,67 +278,31 @@ def _parse_init_ranks(tokens, true_rank, parser):
     return ranks
 
 
-def _load_input(path, fmt):
-    """Returns (kind, obs, truth, true_rank)."""
-    if fmt in ("auto", "fixture"):
+def _load_input(args):
+    """Returns (instance, true_rank) for a fixture or a ratings file."""
+    if args.format in ("auto", "fixture"):
         try:
-            spec, obs, truth = load_fixture(path)
-            return "fixture", obs, truth, (spec.rank if spec else 0)
+            spec, obs, truth = load_fixture(args.input)
+            true_rank = spec.rank if spec else 0
+            return _fixture(obs, truth, true_rank), true_rank
         except (ValueError, OSError):
-            if fmt == "fixture":
+            if args.format == "fixture":
                 raise
-    obs = parse_movielens(path)
-    return "movielens", obs, None, 0
+    return _ratings(parse_movielens(args.input), args), 0
 
 
 def cmd_complete(args, parser):
-    kind, obs, truth, true_rank = _load_input(args.input, args.format)
+    instance, true_rank = _load_input(args)
     escape_modes = {"on": (True,), "off": (False,), "both": (True, False)}[args.escape]
-    ps = _float_list(args.p)
-    lams = _float_list(args.lam)
-    init_ranks = _parse_init_ranks(args.init_rank, true_rank, parser)
-    combos = sorted(
+    grid = sorted(
         (ir, p, lam, esc, seed)
-        for ir in init_ranks
-        for p in ps
-        for lam in lams
+        for ir in _parse_init_ranks(args.init_rank, true_rank, parser)
+        for p in _float_list(args.p)
+        for lam in _float_list(args.lam)
         for esc in escape_modes
         for seed in range(args.seeds)
     )
-
-    runs = []
-    for ir, p, lam, esc, seed in combos:
-        if kind == "fixture":
-            y_train = obs
-            meta = dict(
-                m=obs.m,
-                n=obs.n,
-                true_rank=true_rank,
-                missing=1.0 - obs.nnz / (obs.m * obs.n),
-                snr_db=float("nan"),
-            )
-            re_fn = None
-            if truth is not None and truth.test_mask[0].size:
-                gt = truth
-                re_fn = lambda F: relative_error(F, gt.x_true, gt.test_mask)
-            nmae_fn = None
-        else:
-            ms = split(obs, args.train_frac, seed)
-            y_train = ms.train
-            meta = dict(
-                m=obs.m,
-                n=obs.n,
-                true_rank=0,
-                missing=1.0 - ms.train.nnz / (obs.m * obs.n),
-                snr_db=float("nan"),
-            )
-            re_fn = None
-            test = ms.test
-            nmae_fn = lambda F: nmae(F, test, args.rmin, args.rmax)
-        cfg = _solver_config(args, p, lam, ir, seed, esc)
-        runs.append(
-            _run_one("complete", y_train, cfg, meta, args.no_timing, re_fn, nmae_fn)
-        )
+    runs = _run_grid("complete", instance, grid, args)
     _write_csv(args.out, runs)
     if args.json:
         _write_json(args.json, runs)
@@ -296,42 +310,25 @@ def cmd_complete(args, parser):
 
 
 # ----------------------------------------------------------------------
-# bench
+# bench: each suite runs its grid, prints its table and returns
+# (runs, summary CSV lines)
 
 
 def _median(xs):
     return float(np.median(np.asarray(xs)))
 
 
-def _bench_table1(args):
+def _table1(args):
     ps = _float_list(args.p)
-    lam = args.lam if args.lam is not None else TABLE1_LAM
-    out_dir = _outdir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
-    runs = []
-    for mult in TABLE1_MULTIPLIERS:
-        ir = max(1, round(mult * args.rank))
-        for p in ps:
-            for esc in (True, False):
-                for seed in range(args.seeds):
-                    spec = SynthSpec(
-                        args.m, args.n, args.rank, args.snr, args.missing, seed
-                    )
-                    gt = gen_synthetic(spec)
-                    meta = dict(
-                        m=args.m,
-                        n=args.n,
-                        true_rank=args.rank,
-                        missing=args.missing,
-                        snr_db=args.snr,
-                    )
-                    cfg = _solver_config(args, p, lam, ir, seed, esc)
-                    re_fn = lambda F: relative_error(F, gt.x_true, gt.test_mask)
-                    runs.append(
-                        _run_one("table1", gt.y_obs, cfg, meta, args.no_timing, re_fn)
-                    )
-    _write_csv(os.path.join(out_dir, "table1_runs.csv"), runs)
+    init_ranks = [max(1, round(mult * args.rank)) for mult in TABLE1_MULTIPLIERS]
+    grid = [
+        (ir, p, args.lam, esc, seed)
+        for ir in init_ranks
+        for p in ps
+        for esc in (True, False)
+        for seed in range(args.seeds)
+    ]
+    runs = _run_grid("table1", _synthetic(args), grid, args)
 
     # summary axes: one row per initial-rank multiplier, one column pair
     # (median RE, median rank) per escape-mode x p combination
@@ -342,8 +339,7 @@ def _bench_table1(args):
         header += [f"re_p{p:g}_esc_{esc}", f"rank_p{p:g}_esc_{esc}"]
     summary = [",".join(header)]
     print("init_mult  " + "  ".join(f"p={p:g}/{esc}" for p, esc in combos))
-    for mult in TABLE1_MULTIPLIERS:
-        ir = max(1, round(mult * args.rank))
+    for mult, ir in zip(TABLE1_MULTIPLIERS, init_ranks):
         cells = [str(mult)]
         shown = []
         for p, esc in combos:
@@ -358,40 +354,17 @@ def _bench_table1(args):
             shown.append(f"{re_med:.4f}/r{rank_med:g}")
         summary.append(",".join(cells))
         print(f"{mult:<10} " + "  ".join(shown))
-    with open(os.path.join(out_dir, "table1_summary.csv"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-    print(f"wrote {out_dir}/table1_runs.csv and table1_summary.csv")
-    return _report_failures(runs)
+    return runs, summary
 
 
-def _bench_ptrend(args):
-    lams = _float_list(args.lams) if args.lams else list(PTREND_LAMS)
-    ir = args.init_rank if args.init_rank else round(1.5 * args.rank)
+def _ptrend(args):
     ps = _float_list(args.p)
-    out_dir = _outdir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
-    runs = []
-    for p in ps:
-        for lam in lams:
-            for seed in range(args.seeds):
-                spec = SynthSpec(
-                    args.m, args.n, args.rank, args.snr, args.missing, seed
-                )
-                gt = gen_synthetic(spec)
-                meta = dict(
-                    m=args.m,
-                    n=args.n,
-                    true_rank=args.rank,
-                    missing=args.missing,
-                    snr_db=args.snr,
-                )
-                cfg = _solver_config(args, p, lam, ir, seed, True)
-                re_fn = lambda F: relative_error(F, gt.x_true, gt.test_mask)
-                runs.append(
-                    _run_one("ptrend", gt.y_obs, cfg, meta, args.no_timing, re_fn)
-                )
-    _write_csv(os.path.join(out_dir, "ptrend_runs.csv"), runs)
+    lams = _float_list(args.lams) or list(PTREND_LAMS)  # --lams '' keeps the sweep
+    ir = args.init_rank if args.init_rank else round(1.5 * args.rank)
+    grid = [
+        (ir, p, lam, True, seed) for p in ps for lam in lams for seed in range(args.seeds)
+    ]
+    runs = _run_grid("ptrend", _synthetic(args), grid, args)
 
     # summary: one RE column per p, each taken at that p's best lambda
     rows = [row for row, _ in runs]
@@ -410,63 +383,40 @@ def _bench_ptrend(args):
     print("        " + "  ".join(f"p={p:<10g}" for p in ps))
     print("re      " + "  ".join(f"{best[p][1]:<12.4f}" for p in ps))
     print("lambda  " + "  ".join(f"{best[p][0]:<12g}" for p in ps))
-    with open(os.path.join(out_dir, "ptrend_summary.csv"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-    print(f"wrote {out_dir}/ptrend_runs.csv and ptrend_summary.csv")
-    return _report_failures(runs)
+    return runs, summary
 
 
-def _bench_movielens(args, parser):
-    if not args.data:
-        parser.error(
-            "the movielens suite needs --data pointing to a ratings file "
-            "(tab-separated 'user item rating timestamp' lines, e.g. ml-100k/u.data)"
-        )
-    obs = parse_movielens(args.data)
-    lam = args.lam if args.lam is not None else MOVIELENS_LAM
+def _movielens(args):
     p = _float_list(args.p)[0]
-    out_dir = _outdir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
-    runs = []
-    for ir in MOVIELENS_INIT_RANKS:
-        for seed in range(args.seeds):
-            ms = split(obs, args.train_frac, seed)
-            meta = dict(
-                m=obs.m,
-                n=obs.n,
-                true_rank=0,
-                missing=1.0 - ms.train.nnz / (obs.m * obs.n),
-                snr_db=float("nan"),
-            )
-            cfg = _solver_config(args, p, lam, ir, seed, True)
-            test = ms.test
-            nmae_fn = lambda F: nmae(F, test, args.rmin, args.rmax)
-            runs.append(
-                _run_one("movielens", ms.train, cfg, meta, args.no_timing, None, nmae_fn)
-            )
-    _write_csv(os.path.join(out_dir, "movielens_runs.csv"), runs)
+    grid = [
+        (ir, p, args.lam, True, seed)
+        for ir in MOVIELENS_INIT_RANKS
+        for seed in range(args.seeds)
+    ]
+    runs = _run_grid("movielens", _ratings(parse_movielens(args.data), args), grid, args)
 
     rows = [row for row, _ in runs]
     summary = ["init_rank,nmae_median"]
     print("init_rank  median_nmae")
     for ir in MOVIELENS_INIT_RANKS:
-        sel = [r for r in rows if r["init_rank"] == ir]
-        med = _median([r["nmae"] for r in sel])
+        med = _median([r["nmae"] for r in rows if r["init_rank"] == ir])
         summary.append(f"{ir},{med!r}")
         print(f"{ir:<10} {med:.4f}")
-    with open(os.path.join(out_dir, "movielens_summary.csv"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-    print(f"wrote {out_dir}/movielens_runs.csv and movielens_summary.csv")
-    return _report_failures(runs)
+    return runs, summary
+
+
+SUITES = {"table1": _table1, "ptrend": _ptrend, "movielens": _movielens}
 
 
 def cmd_bench(args, parser):
-    if args.suite == "table1":
-        return _bench_table1(args)
-    if args.suite == "ptrend":
-        return _bench_ptrend(args)
-    return _bench_movielens(args, parser)
+    out_dir = _outdir(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    runs, summary = SUITES[args.suite](args)
+    _write_csv(os.path.join(out_dir, f"{args.suite}_runs.csv"), runs)
+    with open(os.path.join(out_dir, f"{args.suite}_summary.csv"), "w") as fh:
+        fh.write("\n".join(summary) + "\n")
+    print(f"wrote {out_dir}/{args.suite}_runs.csv and {args.suite}_summary.csv")
+    return _report_failures(runs)
 
 
 # ----------------------------------------------------------------------
@@ -493,6 +443,14 @@ def cmd_movielens_prep(args, parser):
     return 0
 
 
+COMMANDS = {
+    "synth": cmd_synth,
+    "complete": cmd_complete,
+    "bench": cmd_bench,
+    "movielens-prep": cmd_movielens_prep,
+}
+
+
 # ----------------------------------------------------------------------
 # parser plumbing
 
@@ -511,16 +469,23 @@ def _read_config(path):
     return values
 
 
-def _typed_config(parser, config):
-    """Coerce config strings using the declared type of the matching flag."""
-    actions = {}
+def _parsers(parser):
+    """The parser and every sub-parser below it."""
     stack = [parser]
     while stack:
         p = stack.pop()
+        yield p
         for a in p._actions:
             if isinstance(a, argparse._SubParsersAction):
                 stack.extend(a.choices.values())
-            else:
+
+
+def _typed_config(parser, config):
+    """Coerce config strings using the declared type of the matching flag."""
+    actions = {}
+    for p in _parsers(parser):
+        for a in p._actions:
+            if not isinstance(a, argparse._SubParsersAction):
                 actions.setdefault(a.dest, a)
     typed = {}
     for key, raw in config.items():
@@ -534,6 +499,40 @@ def _typed_config(parser, config):
         else:
             typed[key] = raw
     return typed
+
+
+def _apply_defaults(parser, typed):
+    # subparsers parse into a fresh namespace, so defaults must be pushed
+    # onto every subparser, not just the root; a flag the config supplies
+    # is no longer required on the command line
+    for p in _parsers(parser):
+        p.set_defaults(**typed)
+        for a in p._actions:
+            if a.dest in typed:
+                a.required = False
+
+
+def _add_solver_flags(sp):
+    sp.add_argument("--prune-thres", type=float, default=1e-5)
+    sp.add_argument("--max-iter", type=int, default=1000)
+    sp.add_argument("--conv-tol", type=float, default=1e-4)
+    sp.add_argument("--escape-budget", type=int, default=None)
+    sp.add_argument("--no-timing", action="store_true", help="write wall_ms as 0")
+
+
+def _add_ratings_flags(sp):
+    sp.add_argument("--train-frac", type=float, default=0.5, help="ratings: train split")
+    sp.add_argument("--rmin", type=float, default=1.0)
+    sp.add_argument("--rmax", type=float, default=5.0)
+
+
+def _add_geometry_flags(sp, rank, missing, snr, p):
+    sp.add_argument("--m", type=int, default=200)
+    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--rank", type=int, default=rank)
+    sp.add_argument("--missing", type=float, default=missing)
+    sp.add_argument("--snr", type=float, default=snr)
+    sp.add_argument("--p", default=p, help="comma-separated exponents")
 
 
 def build_parser():
@@ -569,31 +568,34 @@ def build_parser():
     )
     sp.add_argument("--escape", choices=("on", "off", "both"), default="on")
     sp.add_argument("--seeds", type=int, default=1, help="number of seeds (0..N-1)")
-    sp.add_argument("--train-frac", type=float, default=0.5, help="ratings-only: train split")
-    sp.add_argument("--rmin", type=float, default=1.0)
-    sp.add_argument("--rmax", type=float, default=5.0)
+    _add_ratings_flags(sp)
     sp.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sp.add_argument("--json", default=None, help="optional JSON mirror path")
     _add_solver_flags(sp)
 
     sp = sub.add_parser("bench", help="run a predefined benchmark suite")
-    sp.add_argument("suite", choices=("table1", "ptrend", "movielens"))
-    sp.add_argument("--m", type=int, default=200)
-    sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--missing", type=float, default=None)
-    sp.add_argument("--snr", type=float, default=None)
-    sp.add_argument("--seeds", type=int, default=5)
-    sp.add_argument("--p", default=None, help="comma-separated exponents")
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--lams", default=None, help="ptrend: comma-separated sweep values")
-    sp.add_argument("--init-rank", type=int, default=None, help="ptrend: solver width")
-    sp.add_argument("--data", default=None, help="movielens: ratings file path")
-    sp.add_argument("--train-frac", type=float, default=0.5)
-    sp.add_argument("--rmin", type=float, default=1.0)
-    sp.add_argument("--rmax", type=float, default=5.0)
-    sp.add_argument("--out-dir", default=None)
-    _add_solver_flags(sp)
+    suites = sp.add_subparsers(dest="suite", required=True)
+    # exact flag names: '--m' must not reach '--max-iter' in a suite without '--m'
+    table1 = suites.add_parser("table1", allow_abbrev=False)
+    _add_geometry_flags(table1, rank=10, missing=0.4, snr=10.0, p="0.5,0.3")
+    table1.add_argument("--lam", type=float, default=TABLE1_LAM)
+    ptrend = suites.add_parser("ptrend", allow_abbrev=False)
+    _add_geometry_flags(ptrend, rank=20, missing=0.5, snr=8.0, p="0.3,0.5,0.7,1.0")
+    ptrend.add_argument(
+        "--lams",
+        default=",".join(map(repr, PTREND_LAMS)),
+        help="comma-separated lambda sweep",
+    )
+    ptrend.add_argument("--init-rank", type=int, default=None, help="default 1.5x rank")
+    movielens = suites.add_parser("movielens", allow_abbrev=False)
+    movielens.add_argument("--data", required=True, help="ratings file path")
+    movielens.add_argument("--p", default="0.5", help="exponent")
+    movielens.add_argument("--lam", type=float, default=MOVIELENS_LAM)
+    _add_ratings_flags(movielens)
+    for suite in (table1, ptrend, movielens):
+        suite.add_argument("--seeds", type=int, default=5)
+        suite.add_argument("--out-dir", default=None)
+        _add_solver_flags(suite)
 
     sp = sub.add_parser(
         "movielens-prep", help="validate and optionally split a ratings file"
@@ -606,57 +608,25 @@ def build_parser():
     return parser
 
 
-_BENCH_DEFAULTS = {
-    "table1": {"rank": 10, "missing": 0.4, "snr": 10.0, "p": "0.5,0.3"},
-    "ptrend": {"rank": 20, "missing": 0.5, "snr": 8.0, "p": "0.3,0.5,0.7,1.0"},
-    "movielens": {"rank": 1, "missing": 0.0, "snr": 0.0, "p": "0.5"},
-}
-
-
-def _apply_defaults(parser, typed):
-    # subparsers parse into a fresh namespace, so defaults must be pushed
-    # onto every subparser, not just the root
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        p.set_defaults(**typed)
-        for a in p._actions:
-            if isinstance(a, argparse._SubParsersAction):
-                stack.extend(a.choices.values())
+def parse_args(argv=None):
+    """Returns (parser, args), with --config values as flag defaults."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    config_path = pre.parse_known_args(argv)[0].config
+    parser = build_parser()
+    if config_path:
+        try:
+            config = _typed_config(parser, _read_config(config_path))
+        except (ValueError, OSError) as exc:
+            parser.error(str(exc))
+        _apply_defaults(parser, config)
+    return parser, parser.parse_args(argv)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.config:
-        try:
-            config = _typed_config(parser, _read_config(args.config))
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        parser = build_parser()
-        _apply_defaults(parser, config)
-        args = parser.parse_args(argv)
-
-    if args.command == "bench":
-        defaults = _BENCH_DEFAULTS[args.suite]
-        if args.rank is None:
-            args.rank = defaults["rank"]
-        if args.missing is None:
-            args.missing = defaults["missing"]
-        if args.snr is None:
-            args.snr = defaults["snr"]
-        if args.p is None:
-            args.p = defaults["p"]
-
+    parser, args = parse_args(argv)
     try:
-        if args.command == "synth":
-            return cmd_synth(args, parser)
-        if args.command == "complete":
-            return cmd_complete(args, parser)
-        if args.command == "bench":
-            return cmd_bench(args, parser)
-        return cmd_movielens_prep(args, parser)
+        return COMMANDS[args.command](args, parser)
     except SystemExit:
         raise
     except Exception as exc:  # noqa: BLE001 - top-level CLI failure

@@ -6,6 +6,8 @@ optimizers, the tau oracle is a dense 1-D grid, and the finite-difference
 gradient only evaluates the objective.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
@@ -33,9 +35,19 @@ def fd_gradient(Y, F, cfg, side):
 
 
 def _ambient_value(X, Y, p, lam):
-    s = np.linalg.svd(X, compute_uv=False)
-    s = s[s > 1e-12 * max(s[0], 1e-300)]
-    return 0.5 * np.sum((Y - X) ** 2) + lam * np.sum(s**p)
+    # 2x2 only, in plain floats: the Nelder-Mead polish calls this ~10^5
+    # times per instance. Singular values in closed form from
+    # s1^2 + s2^2 = |X|_F^2 and s1 s2 = |det X|.
+    x = X.ravel().tolist()
+    a, b, c, d = x
+    q = a * a + b * b + c * c + d * d
+    det = abs(a * d - b * c)
+    s1 = math.sqrt((q + math.sqrt(max(q * q - 4.0 * det * det, 0.0))) / 2.0)
+    s2 = det / s1 if s1 > 0.0 else 0.0
+    cut = 1e-12 * max(s1, 1e-300)
+    reg = sum(s**p for s in (s1, s2) if s > cut)
+    loss = sum((yi - xi) ** 2 for yi, xi in zip(Y.ravel().tolist(), x))
+    return 0.5 * loss + lam * reg
 
 
 def _scalar_shrink(s, p, lam):

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from spfact.cli import CSV_COLUMNS, main
+from spfact.cli import (
+    CSV_COLUMNS,
+    MOVIELENS_LAM,
+    PTREND_LAMS,
+    TABLE1_LAM,
+    _float_list,
+    main,
+    parse_args,
+)
 
 
 def run_cli(args):
@@ -14,6 +22,12 @@ def run_cli(args):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def input_rows(path):
+    """The input columns suite..seed of each CSV row, in file order."""
+    cols = CSV_COLUMNS[: CSV_COLUMNS.index("seed") + 1]
+    return [",".join(r[c] for c in cols) for r in read_csv(path)]
 
 
 def make_fixture(tmp_path, m=16, n=14, rank=2, snr=15.0, missing=0.3, seed=3):
@@ -344,3 +358,155 @@ def test_csv_column_order_documented():
         "init_rank", "escape", "seed", "iters", "escapes", "final_rank",
         "objective", "re", "nmae", "wall_ms",
     ]
+
+
+def test_complete_json_stop_reason(tmp_path):
+    fixture = make_fixture(tmp_path)
+    json_path = tmp_path / "runs.json"
+    args = ["--out", str(tmp_path / "runs.csv"), "--json", str(json_path), "--no-timing"]
+    code = run_cli(
+        ["complete", "--input", str(fixture), "--init-rank", "3", "--max-iter", "1"] + args
+    )
+    assert code == 0
+    [entry] = json.loads(json_path.read_text())
+    assert entry["stop_reason"] == "max_iter"
+    assert entry["converged"] is False
+    # a failed run has no stop reason
+    fixture = make_fixture(tmp_path, m=6, n=5, rank=1, snr=float("inf"), missing=0.0)
+    code = run_cli(
+        ["complete", "--input", str(fixture), "--lam", "0.0", "--init-rank", "6"] + args
+    )
+    assert code == 1
+    [entry] = json.loads(json_path.read_text())
+    assert entry["error"] and entry["stop_reason"] == ""
+    assert entry["converged"] is False
+
+
+# expected rows recorded from the hand-written per-suite loops that the
+# grid runner replaced
+GRID_ORDER_CASES = {
+    # sorted (init_rank, p, lambda, escape, seed): escape "off" sorts first
+    "complete_fixture": (
+        ["complete", "--input", "{fixture}", "--p", "0.5,0.3", "--init-rank", "1x,0.5x",
+         "--escape", "both", "--seeds", "2", "--out", "{out}/runs.csv"],
+        "runs.csv",
+        [
+            f"complete,16,14,2,0.2991071428571429,nan,{p},1.0,{ir},{esc},{seed}"
+            for ir in (1, 2)
+            for p in (0.3, 0.5)
+            for esc in ("off", "on")
+            for seed in (0, 1)
+        ],
+    ),
+    "complete_ratings": (
+        ["complete", "--input", "{ratings}", "--lam", "1.0,0.5", "--init-rank", "3,2",
+         "--seeds", "2", "--out", "{out}/runs.csv"],
+        "runs.csv",
+        [
+            f"complete,40,35,0,0.75,nan,0.5,{lam},{ir},on,{seed}"
+            for ir in (2, 3)
+            for lam in (0.5, 1.0)
+            for seed in (0, 1)
+        ],
+    ),
+    # multiplier -> p -> escape on, then off -> seed
+    "table1": (
+        ["bench", "table1", "--m", "12", "--n", "10", "--rank", "2", "--seeds", "2",
+         "--out-dir", "{out}"],
+        "table1_runs.csv",
+        [
+            f"table1,12,10,2,0.4,10.0,{p},100.0,{ir},{esc},{seed}"
+            for ir in (1, 2, 2, 2, 3)
+            for p in (0.5, 0.3)
+            for esc in ("on", "off")
+            for seed in (0, 1)
+        ],
+    ),
+    # p -> lambda -> seed
+    "ptrend": (
+        ["bench", "ptrend", "--m", "12", "--n", "10", "--rank", "2", "--p", "0.5,0.3",
+         "--lams", "1.0,2.0", "--seeds", "2", "--out-dir", "{out}"],
+        "ptrend_runs.csv",
+        [
+            f"ptrend,12,10,2,0.5,8.0,{p},{lam},3,on,{seed}"
+            for p in (0.5, 0.3)
+            for lam in (1.0, 2.0)
+            for seed in (0, 1)
+        ],
+    ),
+    # init rank -> seed
+    "movielens": (
+        ["bench", "movielens", "--data", "{ratings}", "--seeds", "2", "--out-dir", "{out}"],
+        "movielens_runs.csv",
+        [
+            f"movielens,40,35,0,0.75,nan,0.5,15.0,{ir},on,{seed}"
+            for ir in (10, 20, 30)
+            for seed in (0, 1)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_ORDER_CASES))
+def test_grid_order(tmp_path, case):
+    argv, csv_name, expected = GRID_ORDER_CASES[case]
+    paths = dict(
+        fixture=make_fixture(tmp_path),
+        ratings=write_ratings(tmp_path / "u.data", m=40, n=35, k=700, seed=1),
+        out=tmp_path / "out",
+    )
+    (tmp_path / "out").mkdir()
+    argv = [a.format(**paths) for a in argv] + ["--max-iter", "5", "--no-timing"]
+    assert run_cli(argv) == 0
+    assert input_rows(tmp_path / "out" / csv_name) == expected
+
+
+def test_bench_suite_defaults():
+    _, a = parse_args(["bench", "table1"])
+    assert (a.m, a.n, a.rank, a.missing, a.snr, a.p, a.lam, a.seeds) == (
+        200, 200, 10, 0.4, 10.0, "0.5,0.3", TABLE1_LAM, 5,
+    )
+    _, a = parse_args(["bench", "ptrend"])
+    assert (a.m, a.n, a.rank, a.missing, a.snr, a.p, a.init_rank, a.seeds) == (
+        200, 200, 20, 0.5, 8.0, "0.3,0.5,0.7,1.0", None, 5,
+    )
+    assert tuple(_float_list(a.lams)) == PTREND_LAMS
+    _, a = parse_args(["bench", "movielens", "--data", "u.data"])
+    assert (a.data, a.p, a.lam, a.train_frac, a.rmin, a.rmax, a.seeds) == (
+        "u.data", "0.5", MOVIELENS_LAM, 0.5, 1.0, 5.0, 5,
+    )
+    assert (TABLE1_LAM, MOVIELENS_LAM) == (100.0, 15.0)
+    assert PTREND_LAMS == (12.5, 50.0, 200.0, 800.0, 3200.0)
+
+
+def test_bench_config_then_flag_precedence(tmp_path):
+    cfg_file = tmp_path / "spfact.conf"
+    cfg_file.write_text("rank = 3\nlam = 7.0\nlams = 1,2\ndata = u.data\n")
+    config = ["--config", str(cfg_file)]
+    # a config value beats the suite default
+    _, a = parse_args(config + ["bench", "table1"])
+    assert (a.rank, a.lam, a.missing) == (3, 7.0, 0.4)
+    _, a = parse_args(config + ["bench", "ptrend"])
+    assert (a.rank, a.lams, a.snr) == (3, "1,2", 8.0)
+    # and supplies a required flag
+    _, a = parse_args(config + ["bench", "movielens"])
+    assert (a.data, a.lam) == ("u.data", 7.0)
+    # an explicit flag beats the config value
+    _, a = parse_args(config + ["bench", "table1", "--rank", "4", "--lam", "9"])
+    assert (a.rank, a.lam) == (4, 9.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "table1", "--lams", "1"],
+        ["bench", "table1", "--data", "u.data"],
+        ["bench", "ptrend", "--lam", "1"],
+        ["bench", "movielens", "--data", "u.data", "--m", "5"],
+        ["bench", "movielens", "--data", "u.data", "--init-rank", "5"],
+    ],
+)
+def test_bench_rejects_flags_the_suite_ignores(argv):
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv)
+    assert e.value.code == 2

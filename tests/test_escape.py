@@ -7,17 +7,15 @@ from spfact import (
     Factors,
     ObservedMatrix,
     SolverConfig,
-    attempt,
     escape_decision,
     gen_synthetic,
     objective,
-    predicted_values,
     SynthSpec,
-    adjoint_embed,
     masked_residual,
 )
 from spfact import escape
-from spfact.escape import _decide
+from spfact.escape import _decide, attempt
+from spfact.observed import adjoint_embed, predicted_values
 
 
 def f_curve(tau, sigma, lam, p):

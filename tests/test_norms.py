@@ -4,11 +4,11 @@ import pytest
 from spfact import (
     Factors,
     balanced_factorization,
-    check_p,
     schatten_p_power,
     variational_product,
     variational_sum,
 )
+from spfact.norms import check_p
 
 
 def schatten_oracle(X, p):

@@ -3,16 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spfact import (
-    Factors,
-    MaskSplit,
-    ObservedMatrix,
-    adjoint_embed,
-    loss_value,
-    masked_residual,
-    predicted_values,
-)
+from spfact import Factors, ObservedMatrix, loss_value, masked_residual
 from spfact import observed
+from spfact.observed import MaskSplit, adjoint_embed, predicted_values
 
 
 def hand_case():

@@ -9,21 +9,18 @@ from spfact import (
     ObservedMatrix,
     SolverConfig,
     SynthSpec,
-    bsum_step,
-    column_energies,
     gen_synthetic,
     grad_U,
     grad_V,
     loss_value,
     objective,
-    prune,
-    random_factors,
     relative_error,
     solve,
     surrogate_hessian_U,
-    surrogate_hessian_V,
 )
 from spfact import escape
+from spfact.norms import column_energies
+from spfact.solver import bsum_step, prune, random_factors, surrogate_hessian_V
 
 
 def one_by_one():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spfact import full_svd, top_singular_pair
+from spfact import full_svd
+from spfact.spectral import top_singular_pair
 
 
 def test_full_svd_diagonal():
