@@ -480,36 +480,27 @@ def _parsers(parser):
                 stack.extend(a.choices.values())
 
 
-def _typed_config(parser, config):
-    """Coerce config strings using the declared type of the matching flag."""
-    actions = {}
+def _apply_config(parser, config):
+    """Make config values the defaults of every flag of that name.
+
+    Values stay strings, so each sub-parser converts them with the type of
+    its own flag when it parses (a key may be typed differently by two
+    commands); store_true flags take 1/true/yes/on. A flag the config
+    supplies is no longer required on the command line.
+    """
+    unknown = set(config)
     for p in _parsers(parser):
         for a in p._actions:
-            if not isinstance(a, argparse._SubParsersAction):
-                actions.setdefault(a.dest, a)
-    typed = {}
-    for key, raw in config.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            typed[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            typed[key] = action.type(raw)
-        else:
-            typed[key] = raw
-    return typed
-
-
-def _apply_defaults(parser, typed):
-    # subparsers parse into a fresh namespace, so defaults must be pushed
-    # onto every subparser, not just the root; a flag the config supplies
-    # is no longer required on the command line
-    for p in _parsers(parser):
-        p.set_defaults(**typed)
-        for a in p._actions:
-            if a.dest in typed:
-                a.required = False
+            if a.dest not in config or isinstance(a, argparse._SubParsersAction):
+                continue
+            unknown.discard(a.dest)
+            raw = config[a.dest]
+            if isinstance(a, argparse._StoreTrueAction):
+                raw = raw.lower() in ("1", "true", "yes", "on")
+            a.default = raw
+            a.required = False
+    if unknown:
+        raise ValueError(f"unknown config key {min(unknown)!r}")
 
 
 def _add_solver_flags(sp):
@@ -616,10 +607,9 @@ def parse_args(argv=None):
     parser = build_parser()
     if config_path:
         try:
-            config = _typed_config(parser, _read_config(config_path))
+            _apply_config(parser, _read_config(config_path))
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
-        _apply_defaults(parser, config)
     return parser, parser.parse_args(argv)
 
 

@@ -65,11 +65,12 @@ def gen_synthetic(spec):
         y_full = x_true + np.sqrt(noise_var) * rng_noise.standard_normal((m, n))
 
     k = int(round((1.0 - spec.missing_rate) * m * n))
-    perm = rng_mask.permutation(m * n)
-    obs_lin = np.sort(perm[:k])
-    test_lin = np.sort(perm[k:])
-    y_obs = ObservedMatrix(m, n, obs_lin // n, obs_lin % n, y_full.ravel()[obs_lin])
-    return GroundTruth(x_true, y_obs, (test_lin // n, test_lin % n))
+    observed = np.zeros(m * n, dtype=bool)
+    observed[rng_mask.permutation(m * n)[:k]] = True
+    obs_lin = np.flatnonzero(observed)
+    test_lin = np.flatnonzero(~observed)
+    y_obs = ObservedMatrix(m, n, *np.divmod(obs_lin, n), y_full.ravel()[obs_lin])
+    return GroundTruth(x_true, y_obs, np.divmod(test_lin, n))
 
 
 def parse_movielens(path):

@@ -17,10 +17,12 @@ before the append is committed, with a rollback guard for edge cases.
 At p = 1 the mu formula degenerates; the classical polar condition
 applies instead: accept iff sigma > lam, with tau^2 = sigma - lam.
 
-The top pair comes from seeded power iteration on the CSR of the residual
-triplets, so an escape costs O(|Z|) per power step and never forms an
-m x n matrix. A pair whose power iteration did not converge is not
-trusted: the step is rejected.
+The top pair comes from seeded restarted Lanczos bidiagonalization
+(spectral.top_singular_pair) on the CSR of the residual triplets, so an
+escape costs O(|Z|) per matvec pair and never forms an m x n matrix.
+POWER_MAX_ITER caps the matvec pairs and POWER_TOL is the cross-residual
+tolerance. A pair whose iteration did not converge is not trusted: the
+step is rejected.
 """
 
 from dataclasses import dataclass, replace
@@ -43,7 +45,8 @@ class EscapeDecision:
     modeled objective change f(tau) (0 when rejected). rip_gap marks an
     append that the 1-D model accepted but the verified objective change
     rejected, which rolls the append back. power_converged is False when
-    power iteration hit its iteration cap, which rejects the step.
+    the top-pair iteration (restarted Lanczos bidiagonalization) spent its
+    POWER_MAX_ITER matvec pairs before converging, which rejects the step.
     """
 
     sigma: float
@@ -98,7 +101,7 @@ def attempt(Y, F, cfg):
 
     Returns (factors, decision). On acceptance the factors gain the
     balanced column pair (tau u, tau v); on rejection (including the
-    rollback path and an unconverged power iteration) the input factors
+    rollback path and an unconverged top-pair iteration) the input factors
     are returned unchanged.
     """
     if cfg.lam <= 0:

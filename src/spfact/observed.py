@@ -20,7 +20,7 @@ import scipy.sparse as sp
 class ObservedMatrix:
     """Immutable sparse set of observed entries of an m x n matrix."""
 
-    __slots__ = ("m", "n", "row", "col", "val", "row_ptr")
+    __slots__ = ("m", "n", "row", "col", "val", "row_ptr", "_csr_index")
 
     def __init__(self, m, n, row, col, val):
         m = int(m)
@@ -51,7 +51,12 @@ class ObservedMatrix:
                 )
         row_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=m), out=row_ptr[1:])
-        for a in (row, col, val, row_ptr):
+        # scipy's CSR index dtype, cast once here for every to_csr of this
+        # pattern and of the matrices derived from it
+        fits = max(m, n, row.size) <= np.iinfo(np.int32).max
+        idx = np.int32 if fits else np.int64
+        csr_index = (col.astype(idx), row_ptr.astype(idx))
+        for a in (row, col, val, row_ptr, *csr_index):
             a.setflags(write=False)
         self.m = m
         self.n = n
@@ -59,20 +64,18 @@ class ObservedMatrix:
         self.col = col
         self.val = val
         self.row_ptr = row_ptr
+        self._csr_index = csr_index
 
-    @classmethod
-    def _from_sorted(cls, m, n, row, col, val, row_ptr):
-        # Fast path for derived observation sets that reuse an existing
-        # (already sorted, already validated) index pattern.
-        obj = object.__new__(cls)
-        val = np.asarray(val, dtype=float)
+    def _derive(self, val):
+        # Same pattern (and CSR index arrays) with new values: a float
+        # array of nnz entries that nothing else holds.
+        if not np.isfinite(val).all():
+            raise ValueError("observed values contain NaN or Inf")
         val.setflags(write=False)
-        obj.m = m
-        obj.n = n
-        obj.row = row
-        obj.col = col
+        obj = object.__new__(ObservedMatrix)
+        for name in ("m", "n", "row", "col", "row_ptr", "_csr_index"):
+            setattr(obj, name, getattr(self, name))
         obj.val = val
-        obj.row_ptr = row_ptr
         return obj
 
     @classmethod
@@ -93,19 +96,16 @@ class ObservedMatrix:
 
     def with_values(self, val):
         """Same observation pattern, new values."""
-        val = np.asarray(val, dtype=float).ravel()
+        val = np.array(val, dtype=float).ravel()
         if val.size != self.val.size:
             raise ValueError("value count does not match the pattern")
-        if not np.isfinite(val).all():
-            raise ValueError("observed values contain NaN or Inf")
-        return ObservedMatrix._from_sorted(
-            self.m, self.n, self.row, self.col, val.copy(), self.row_ptr
-        )
+        return self._derive(val)
 
     def to_csr(self):
         """Zero-copy scipy CSR view of the observed entries."""
+        indices, indptr = self._csr_index
         return sp.csr_matrix(
-            (self.val, self.col, self.row_ptr), shape=(self.m, self.n), copy=False
+            (self.val, indices, indptr), shape=(self.m, self.n), copy=False
         )
 
 
@@ -156,7 +156,7 @@ def predicted_values(Y, F):
 
 def masked_residual(Y, F):
     """P(Y - U V^T): the residual triplets on the observed set."""
-    return Y.with_values(Y.val - predicted_values(Y, F))
+    return Y._derive(Y.val - predicted_values(Y, F))
 
 
 def adjoint_embed(R):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import escape as _escape
-from .norms import Factors, check_p, column_energies, variational_sum
+from .norms import Factors, check_p, column_energies
 from .observed import masked_residual
 
 
@@ -79,8 +79,9 @@ class EscapeEvent(NamedTuple):
 @dataclass
 class SolveReport:
     """stop_reason is "converged" (stagnated with no escape left to try),
-    "escape_rejected", "escape_unconverged" (power iteration hit its cap)
-    or "max_iter"; converged is False for the last two."""
+    "escape_rejected", "escape_unconverged" (the seeded restarted Lanczos
+    bidiagonalization for the escape's top pair hit its matvec cap) or
+    "max_iter"; converged is False for the last two."""
 
     final_width: int
     objective_trace: np.ndarray
@@ -93,19 +94,19 @@ class SolveReport:
 
 def objective(Y, F, cfg):
     """Masked half squared loss plus lam * sum_i c_i^p."""
-    return _objective(masked_residual(Y, F), F, cfg)
+    return _objective(masked_residual(Y, F), column_energies(F), cfg)
 
 
-def _objective(R, F, cfg):
-    # The objective at F from its masked residual R, with the float
-    # operations of loss_value(Y, F) + lam * variational_sum(F, p).
-    return 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
+def _objective(R, c, cfg):
+    # The objective at F from its masked residual R and column energies c,
+    # with the float operations of loss_value(Y, F) + lam * variational_sum(F, p).
+    return 0.5 * float(R.val @ R.val) + cfg.lam * float(np.sum(c ** float(cfg.p)))
 
 
-def _weights(F, p):
-    # Diagonal of W: p * c_i^(p-1). Undefined at c_i = 0, hence the
-    # prune-first contract on all gradient/Hessian evaluations.
-    c = column_energies(F)
+def _weights(c, p):
+    # Diagonal of W from the column energies c: p * c_i^(p-1). Undefined at
+    # c_i = 0, hence the prune-first contract on all gradient/Hessian
+    # evaluations.
     if (c == 0.0).any():
         raise ValueError("zero-energy column present; prune before this evaluation")
     return p * c ** (p - 1.0)
@@ -140,36 +141,39 @@ def _block_update(R, A, B, w, lam, side):
 
 def grad_U(Y, F, cfg):
     """Gradient of the objective in U: -P*(residual) V + lam U W."""
-    w = _weights(F, cfg.p)
+    w = _weights(column_energies(F), cfg.p)
     return _gradient(masked_residual(Y, F).to_csr(), F.U, F.V, w, cfg.lam)
 
 
 def grad_V(Y, F, cfg):
     """Gradient of the objective in V: -P*(residual)^T U + lam V W."""
-    w = _weights(F, cfg.p)
+    w = _weights(column_energies(F), cfg.p)
     return _gradient(masked_residual(Y, F).to_csr().T, F.V, F.U, w, cfg.lam)
 
 
 def surrogate_hessian_U(F, cfg):
     """d x d block Hessian of the U-surrogate: V^T V + lam W."""
-    return _hessian(F.V, _weights(F, cfg.p), cfg.lam, "U")
+    return _hessian(F.V, _weights(column_energies(F), cfg.p), cfg.lam, "U")
 
 
 def surrogate_hessian_V(F, cfg):
     """d x d block Hessian of the V-surrogate: U^T U + lam W."""
-    return _hessian(F.U, _weights(F, cfg.p), cfg.lam, "V")
+    return _hessian(F.U, _weights(column_energies(F), cfg.p), cfg.lam, "V")
 
 
-def bsum_step(Y, F, cfg, R=None):
+def bsum_step(Y, F, cfg, R=None, c=None):
     """One Gauss-Seidel sweep: surrogate-minimizing U update, then V.
 
-    R, the masked residual at F if the caller holds it, spares one gather.
+    R, the masked residual at F, and c, the column energies of F, spare
+    their recomputation when the caller holds them.
     """
     R = masked_residual(Y, F) if R is None else R
-    U = _block_update(R.to_csr(), F.U, F.V, _weights(F, cfg.p), cfg.lam, "U")
+    c = column_energies(F) if c is None else c
+    U = _block_update(R.to_csr(), F.U, F.V, _weights(c, cfg.p), cfg.lam, "U")
     F1 = Factors(U, F.V)
     R1 = masked_residual(Y, F1)
-    V = _block_update(R1.to_csr().T, F1.V, F1.U, _weights(F1, cfg.p), cfg.lam, "V")
+    c1 = column_energies(F1)
+    V = _block_update(R1.to_csr().T, F1.V, F1.U, _weights(c1, cfg.p), cfg.lam, "V")
     return Factors(U, V)
 
 
@@ -242,19 +246,22 @@ def solve(Y, cfg, F0=None):
         F = F0
     F = prune(F, cfg.prune_thres)
 
-    # R is the masked residual at F throughout: the next sweep's U half
-    # and the trace entry both read it.
+    # R and c are the masked residual and the column energies at F
+    # throughout: the trace entry, the collapse guard and the next sweep's
+    # U half read them.
     R = masked_residual(Y, F)
-    trace = [_objective(R, F, cfg)]
+    c = column_energies(F)
+    trace = [_objective(R, c, cfg)]
     events = []
     stop_reason = "max_iter"
     F_prev = F
     self_prev = _frob_inner(F, F)
     for t in range(1, cfg.max_iter + 1):
-        if column_energies(F).max() > 0.0:
-            F = prune(bsum_step(Y, F, cfg, R), cfg.prune_thres)
+        if c.max() > 0.0:
+            F = prune(bsum_step(Y, F, cfg, R, c), cfg.prune_thres)
             R = masked_residual(Y, F)
-        trace.append(_objective(R, F, cfg))
+            c = column_energies(F)
+        trace.append(_objective(R, c, cfg))
         self_new = _frob_inner(F, F)
         d2 = self_new + self_prev - 2.0 * _frob_inner(F, F_prev)
         den = np.sqrt(max(self_prev, 0.0))
@@ -274,7 +281,8 @@ def solve(Y, cfg, F0=None):
             break
         F = prune(F_new, cfg.prune_thres)
         R = masked_residual(Y, F)
-        trace.append(_objective(R, F, cfg))
+        c = column_energies(F)
+        trace.append(_objective(R, c, cfg))
         events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
         F_prev = F
         self_prev = _frob_inner(F, F)

@@ -352,6 +352,28 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert e.value.code == 2
 
 
+def test_config_value_typed_by_the_chosen_command(tmp_path):
+    # bench table1 types --lam as a float and bench ptrend --init-rank as an
+    # int; complete takes both as comma-separated strings
+    fixture = make_fixture(tmp_path)
+    cfg_file = tmp_path / "spfact.conf"
+    cfg_file.write_text("lam = 0.5,1.0\ninit-rank = 0.5x\nmax-iter = 5\nno-timing = true\n")
+    csv_path = tmp_path / "runs.csv"
+    code = run_cli(
+        ["--config", str(cfg_file), "complete", "--input", str(fixture), "--out", str(csv_path)]
+    )
+    assert code == 0
+    rows = read_csv(csv_path)
+    assert [(r["lambda"], r["init_rank"]) for r in rows] == [("0.5", "1"), ("1.0", "1")]
+    _, a = parse_args(["--config", str(cfg_file), "complete", "--input", "x"])
+    assert (a.lam, a.init_rank, a.max_iter, a.no_timing) == ("0.5,1.0", "0.5x", 5, True)
+    # the same values are still invalid for the commands that type them
+    for argv in (["bench", "table1"], ["bench", "ptrend"]):
+        with pytest.raises(SystemExit) as e:
+            parse_args(["--config", str(cfg_file)] + argv)
+        assert e.value.code == 2
+
+
 def test_csv_column_order_documented():
     assert CSV_COLUMNS == [
         "suite", "m", "n", "true_rank", "missing", "snr_db", "p", "lambda",

@@ -34,6 +34,24 @@ def test_gen_reproducible_bitwise():
     assert np.array_equal(a.test_mask[0], b.test_mask[0])
 
 
+def test_gen_mask_matches_sorted_permutation_recipe():
+    # the observed and held-out index sets equal the sorted halves of the
+    # seeded permutation, bit for bit (noiseless, so values are x_true's)
+    spec = SynthSpec(23, 17, 3, float("inf"), 0.7, 5)
+    g = gen_synthetic(spec)
+    rng_mask = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[2])
+    k = int(round((1.0 - spec.missing_rate) * spec.m * spec.n))
+    perm = rng_mask.permutation(spec.m * spec.n)
+    obs_lin, test_lin = np.sort(perm[:k]), np.sort(perm[k:])
+    assert np.array_equal(g.y_obs.row, obs_lin // spec.n)
+    assert np.array_equal(g.y_obs.col, obs_lin % spec.n)
+    assert np.array_equal(g.y_obs.val, g.x_true.ravel()[obs_lin])
+    rows, cols = g.test_mask
+    assert rows.dtype == cols.dtype == np.int64
+    assert np.array_equal(rows, test_lin // spec.n)
+    assert np.array_equal(cols, test_lin % spec.n)
+
+
 def test_gen_rank_is_exact():
     gt = gen_synthetic(SynthSpec(30, 25, 5, 10.0, 0.4, 1))
     s = np.linalg.svd(gt.x_true, compute_uv=False)

@@ -147,6 +147,30 @@ def test_csr_matches_dense_embedding():
     assert np.array_equal(R.to_csr().toarray(), adjoint_embed(R))
 
 
+def test_derived_csr_shares_index_arrays():
+    # to_csr of a derived matrix reuses the pattern's CSR index arrays and
+    # the values without a copy; a non-finite residual is still rejected
+    Y, F = hand_case()
+    R = masked_residual(Y, F)
+    for A in (Y, R, Y.with_values([1.0, 2.0])):
+        C = A.to_csr()
+        assert np.shares_memory(C.indices, Y.to_csr().indices)
+        assert np.shares_memory(C.indptr, Y.to_csr().indptr)
+        assert np.shares_memory(C.data, A.val)
+        assert np.array_equal(C.toarray(), adjoint_embed(A))
+    big = Factors(np.full((3, 1), 1e200), np.full((3, 1), 1e200))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        masked_residual(Y, big)
+
+
+def test_with_values_copies_its_input():
+    Y, _ = hand_case()
+    val = np.array([1.0, 2.0])
+    R = Y.with_values(val)
+    val[0] = 9.0
+    assert R.val[0] == 1.0 and not R.val.flags.writeable
+
+
 def test_predicted_values_matches_fancy_index_gather():
     rng = np.random.default_rng(11)
     for m, n, d, nnz in [(7, 5, 3, 0), (7, 5, 1, 12), (30, 20, 1, 200), (30, 20, 6, 350)]:

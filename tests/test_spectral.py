@@ -174,3 +174,82 @@ def test_top_pair_sparse_rejects_nonfinite():
         X.data[1] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
             top_singular_pair(X)
+
+
+def _with_spectrum(rng, m, n, s):
+    Qa = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    Qb = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (Qa * s) @ Qb.T, Qa[:, 0], Qb[:, 0]
+
+
+def test_top_pair_clustered_spectrum_converges_fast():
+    # top gap 0.2% over a flat tail: plain power iteration needs about
+    # 4.2k steps here, restarted Lanczos about 60 matvec pairs
+    rng = np.random.default_rng(8)
+    s = np.concatenate([[1.0], np.linspace(0.998, 0.95, 79)])
+    X, a, b = _with_spectrum(rng, 120, 80, s)
+    for A in (X, sp.csr_matrix(X)):
+        t = top_singular_pair(A, tol=1e-10, max_iter=400)
+        assert t.converged
+        assert abs(t.sigma - 1.0) <= 1e-12
+        assert abs(abs(t.u @ a) - 1.0) <= 1e-9
+        assert abs(abs(t.v @ b) - 1.0) <= 1e-9
+        assert np.linalg.norm(X.T @ t.u - t.sigma * t.v) <= 1e-10 * t.sigma
+
+
+def test_top_pair_single_row_and_column():
+    rng = np.random.default_rng(9)
+    for shape in ((1, 7), (9, 1), (1, 1)):
+        X = rng.standard_normal(shape)
+        U, s, V = full_svd(X)
+        for A in (X, sp.csr_matrix(X)):
+            t = top_singular_pair(A, tol=1e-10, max_iter=400)
+            assert t.converged
+            assert abs(t.sigma - s[0]) <= 1e-12 * s[0]
+            assert np.allclose(t.u, U[:, 0], atol=1e-12)
+            assert np.allclose(t.v, V[:, 0], atol=1e-12)
+
+
+def test_top_pair_exact_rank_one_breaks_down():
+    # X.T u_1 lies in the span of v_0, so the first cycle stops at a
+    # breakdown after two matvec pairs and the third pair accepts the pair;
+    # a cycle that went on would spend the third pair inside itself
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(50)
+    b = rng.standard_normal(30)
+    X = np.outer(a, b)
+    for A in (X, sp.csr_matrix(X)):
+        t = top_singular_pair(A, tol=1e-10, max_iter=3)
+        assert t.converged
+        sigma = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(t.sigma - sigma) <= 1e-12 * sigma
+        assert np.allclose(t.u, np.sign(a[0]) * a / np.linalg.norm(a), atol=1e-12)
+        assert np.allclose(t.v, np.sign(a[0]) * b / np.linalg.norm(b), atol=1e-12)
+
+
+def test_top_pair_bit_identical_repeats():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((70, 50)) * (rng.random((70, 50)) < 0.2)
+    for A in (X, sp.csr_matrix(X)):
+        for max_iter in (5, 10000):
+            t1 = top_singular_pair(A, tol=1e-10, max_iter=max_iter)
+            t2 = top_singular_pair(A, tol=1e-10, max_iter=max_iter)
+            assert t1.sigma == t2.sigma and t1.converged == t2.converged
+            assert np.array_equal(t1.u, t2.u) and np.array_equal(t1.v, t2.v)
+
+
+def test_top_pair_matches_full_svd_with_restarts():
+    # sizes above the basis of one cycle, so the pair comes out of restarts
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        m, n = rng.integers(25, 90, size=2)
+        X = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.uniform(0.1, 1.0))
+        U, s, V = full_svd(X)
+        if s[1] > (1.0 - 1e-3) * s[0]:
+            continue  # top vectors ill-determined
+        for A in (X, sp.csr_matrix(X)):
+            t = top_singular_pair(A, tol=1e-10, max_iter=20000)
+            assert t.converged
+            assert abs(t.sigma - s[0]) <= 1e-12 * s[0]
+            assert np.allclose(t.u, U[:, 0], atol=1e-7)
+            assert np.allclose(t.v, V[:, 0], atol=1e-7)
