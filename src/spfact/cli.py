@@ -75,8 +75,6 @@ def _outdir(value):
 
 
 def _float_list(text):
-    if isinstance(text, (int, float)):
-        return [float(text)]
     return [float(t) for t in text.split(",") if t]
 
 
@@ -258,8 +256,6 @@ def cmd_synth(args, parser):
 
 
 def _parse_init_ranks(tokens, true_rank, parser):
-    if isinstance(tokens, int):
-        return [tokens]
     ranks = []
     for tok in tokens.split(","):
         tok = tok.strip()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observed import MaskSplit, ObservedMatrix
+from .observed import MaskSplit, ObservedMatrix, predicted_values
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,10 @@ def relative_error(F, x_true, test_mask):
     if rows.size == 0:
         raise ValueError("test mask is empty")
     X_hat = _estimate(F)
+    if X_hat.shape != x_true.shape:
+        raise ValueError(
+            f"estimate shape {X_hat.shape} does not match reference shape {x_true.shape}"
+        )
     den = np.linalg.norm(x_true[rows, cols])
     if den == 0.0:
         raise ValueError("held-out entries of the reference matrix are all zero")
@@ -153,7 +157,7 @@ def nmae(F, test, r_min, r_max):
         raise ValueError("r_max must exceed r_min")
     if test.nnz == 0:
         raise ValueError("test set is empty")
-    pred = np.einsum("ij,ij->i", F.U[test.row], F.V[test.col])
+    pred = predicted_values(test, F)
     return float(np.mean(np.abs(test.val - pred)) / (r_max - r_min))
 
 

@@ -25,24 +25,16 @@ TIE_TOL = 1e-8
 class StationarityReport:
     grad_norm_U: float
     grad_norm_V: float
-    x_space_diag_residual: float
-    offdiag_residual: float
     width: int
 
 
 def factorized_stationarity(Y, F, cfg):
-    """Normalized gradient norms of the factorized objective at F.
-
-    Fills only the gradient fields of the report; the ambient-space
-    residuals are the business of subgradient_check and left as nan.
-    """
+    """Normalized gradient norms of the factorized objective at F."""
     gu = np.linalg.norm(grad_U(Y, F, cfg))
     gv = np.linalg.norm(grad_V(Y, F, cfg))
     return StationarityReport(
         grad_norm_U=gu / max(1.0, np.linalg.norm(F.U)),
         grad_norm_V=gv / max(1.0, np.linalg.norm(F.V)),
-        x_space_diag_residual=float("nan"),
-        offdiag_residual=float("nan"),
         width=F.width,
     )
 

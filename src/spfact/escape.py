@@ -76,24 +76,29 @@ def _decide(sigma, lam, p):
     return EscapeDecision(sigma, mu, 0.0, 0.0, False)
 
 
-def _decide_triple(triple, lam, p):
+def _top_pair_decision(X, lam, p):
+    # The top pair of the residual X and the 1-D test on it; a pair whose
+    # iteration did not converge rejects the step. The caps are read at
+    # call time, so a patched POWER_MAX_ITER reaches every caller.
+    p = check_p(p)
+    if lam <= 0:
+        raise ValueError("lam must be positive for the escape test")
+    triple = top_singular_pair(X, POWER_TOL, POWER_MAX_ITER)
     dec = _decide(triple.sigma, lam, p)
-    if triple.converged:
-        return dec
-    return replace(dec, accepted=False, tau=0.0, descent_value=0.0, power_converged=False)
+    if not triple.converged:
+        dec = replace(
+            dec, accepted=False, tau=0.0, descent_value=0.0, power_converged=False
+        )
+    return triple, dec
 
 
-def escape_decision(R, lam, p, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def escape_decision(R, lam, p):
     """Closed-form accept/reject of a rank-one step on a residual matrix.
 
     R is the embedded residual as a dense array or a scipy sparse matrix
     (for instance masked_residual(Y, F).to_csr()).
     """
-    p = check_p(p)
-    if lam <= 0:
-        raise ValueError("lam must be positive for the escape test")
-    triple = top_singular_pair(R, tol, max_iter)
-    return _decide_triple(triple, lam, p)
+    return _top_pair_decision(R, lam, p)[1]
 
 
 def attempt(Y, F, cfg):
@@ -104,11 +109,8 @@ def attempt(Y, F, cfg):
     rollback path and an unconverged top-pair iteration) the input factors
     are returned unchanged.
     """
-    if cfg.lam <= 0:
-        raise ValueError("lam must be positive for the escape test")
     R = masked_residual(Y, F)
-    triple = top_singular_pair(R.to_csr(), POWER_TOL, POWER_MAX_ITER)
-    dec = _decide_triple(triple, cfg.lam, cfg.p)
+    triple, dec = _top_pair_decision(R.to_csr(), cfg.lam, cfg.p)
     if not dec.accepted:
         return F, dec
     tau = dec.tau

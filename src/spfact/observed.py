@@ -39,11 +39,12 @@ class ObservedMatrix:
                 raise ValueError("column index out of range")
             if not np.isfinite(val).all():
                 raise ValueError("observed values contain NaN or Inf")
-            order = np.lexsort((col, row))
+            key = row * n + col
+            order = np.argsort(key, kind="stable")
             row = row[order]
             col = col[order]
             val = val[order]
-            dup = (np.diff(row) == 0) & (np.diff(col) == 0)
+            dup = np.diff(key[order]) == 0
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
                 raise ValueError(

@@ -86,10 +86,16 @@ class SolveReport:
     final_width: int
     objective_trace: np.ndarray
     iters: int
-    converged: bool
-    escapes: int
     stop_reason: str
     escape_events: list = field(default_factory=list)
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("converged", "escape_rejected")
+
+    @property
+    def escapes(self):
+        return len(self.escape_events)
 
 
 def objective(Y, F, cfg):
@@ -218,6 +224,16 @@ def _frob_inner(Fa, Fb):
     return float(np.sum((Fa.U.T @ Fb.U) * (Fa.V.T @ Fb.V)))
 
 
+def _settle(Y, F, cfg):
+    # Prune F, then take what the trace entry, the collapse guard and the
+    # next sweep's U half read: the masked residual R and the column
+    # energies c at the pruned F, and the objective from them.
+    F = prune(F, cfg.prune_thres)
+    R = masked_residual(Y, F)
+    c = column_energies(F)
+    return F, R, c, _objective(R, c, cfg)
+
+
 def solve(Y, cfg, F0=None):
     """Run BSUM sweeps with pruning until the reconstruction stagnates.
 
@@ -244,30 +260,20 @@ def solve(Y, cfg, F0=None):
         if F0.shape != Y.shape:
             raise ValueError("initial factor shape does not match the data")
         F = F0
-    F = prune(F, cfg.prune_thres)
-
-    # R and c are the masked residual and the column energies at F
-    # throughout: the trace entry, the collapse guard and the next sweep's
-    # U half read them.
-    R = masked_residual(Y, F)
-    c = column_energies(F)
-    trace = [_objective(R, c, cfg)]
+    F, R, c, obj = _settle(Y, F, cfg)
+    trace = [obj]
     events = []
     stop_reason = "max_iter"
-    F_prev = F
-    self_prev = _frob_inner(F, F)
+    self_new = _frob_inner(F, F)
     for t in range(1, cfg.max_iter + 1):
+        F_prev, self_prev = F, self_new
         if c.max() > 0.0:
-            F = prune(bsum_step(Y, F, cfg, R, c), cfg.prune_thres)
-            R = masked_residual(Y, F)
-            c = column_energies(F)
-        trace.append(_objective(R, c, cfg))
+            F, R, c, obj = _settle(Y, bsum_step(Y, F, cfg, R, c), cfg)
+        trace.append(obj)
         self_new = _frob_inner(F, F)
         d2 = self_new + self_prev - 2.0 * _frob_inner(F, F_prev)
         den = np.sqrt(max(self_prev, 0.0))
         rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
-        F_prev = F
-        self_prev = self_new
         if rel >= cfg.conv_tol:
             continue
         if not (cfg.escape_enabled and cfg.lam > 0 and len(events) < cfg.escape_budget):
@@ -279,20 +285,15 @@ def solve(Y, cfg, F0=None):
                 "escape_rejected" if dec.power_converged else "escape_unconverged"
             )
             break
-        F = prune(F_new, cfg.prune_thres)
-        R = masked_residual(Y, F)
-        c = column_energies(F)
-        trace.append(_objective(R, c, cfg))
+        F, R, c, obj = _settle(Y, F_new, cfg)
+        trace.append(obj)
         events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
-        F_prev = F
-        self_prev = _frob_inner(F, F)
+        self_new = _frob_inner(F, F)
 
     report = SolveReport(
         final_width=F.width,
         objective_trace=np.asarray(trace),
         iters=t,
-        converged=stop_reason in ("converged", "escape_rejected"),
-        escapes=len(events),
         stop_reason=stop_reason,
         escape_events=events,
     )

@@ -188,8 +188,5 @@ def top_singular_pair(X, tol=1e-9, max_iter=10000):
         sigma = np.linalg.norm(u)
         u /= sigma
 
-    nz = np.flatnonzero(u)
-    if nz.size and u[nz[0]] < 0:
-        u = -u
-        v = -v
+    _fix_column_signs(u[:, None], v[:, None])
     return SpectralTriple(float(sigma), u, v, converged)

@@ -157,6 +157,14 @@ def test_relative_error_trivial_cases():
         relative_error(X, np.zeros_like(X), mask)
 
 
+def test_relative_error_rejects_wrong_shape():
+    rng = np.random.default_rng(0)
+    F = Factors(rng.standard_normal((5, 2)), rng.standard_normal((3, 2)))
+    X = rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="shape"):
+        relative_error(F, X, (np.array([0, 1, 2]), np.array([2, 1, 0])))
+
+
 def test_nmae_cases():
     test = ObservedMatrix(2, 1, [0, 1], [0, 0], [1.0, 5.0])
     # constant prediction 3 on ratings {1, 5} with range [1, 5] -> 0.5
@@ -173,6 +181,13 @@ def test_nmae_cases():
     empty = ObservedMatrix(2, 1, [], [], [])
     with pytest.raises(ValueError, match="empty"):
         nmae(F, empty, 1.0, 5.0)
+
+
+def test_nmae_rejects_wrong_shape():
+    test = ObservedMatrix(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 5.0, 3.0])
+    F = Factors(np.full((5, 1), 3.0), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        nmae(F, test, 1.0, 5.0)
 
 
 def test_fixture_round_trip(tmp_path):

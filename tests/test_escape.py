@@ -199,3 +199,10 @@ def test_unconverged_power_iteration_rejects(monkeypatch):
     assert not dec.accepted and not dec.power_converged
     assert dec.tau == 0.0 and dec.descent_value == 0.0
     assert dec.sigma > cfg.lam and not dec.rip_gap
+
+
+def test_escape_decision_reads_the_patched_matvec_cap(monkeypatch):
+    # the matrix whose decision test_escape_decision_from_matrix accepts
+    monkeypatch.setattr(escape, "POWER_MAX_ITER", 1)
+    dec = escape_decision(np.diag([3.0, 0.5]), 1.0, 0.5)
+    assert not dec.accepted and not dec.power_converged

@@ -23,11 +23,28 @@ def test_construction_sorts_and_indexes():
     assert Y.row_ptr.tolist() == [0, 2, 2, 3]
     assert Y.nnz == 3
     assert Y.shape == (3, 4)
+    # shuffled random triplets land in the (row, col) lexicographic order
+    rng = np.random.default_rng(0)
+    lin = rng.choice(50 * 40, size=600, replace=False)
+    row, col = lin // 40, lin % 40
+    val = rng.standard_normal(600)
+    Y = ObservedMatrix(50, 40, row, col, val)
+    order = np.lexsort((col, row))
+    assert np.array_equal(Y.row, row[order])
+    assert np.array_equal(Y.col, col[order])
+    assert np.array_equal(Y.val, val[order])
 
 
 def test_construction_rejects_bad_input():
     with pytest.raises(ValueError, match="duplicate"):
         ObservedMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+    # one planted duplicate among shuffled triplets is named by (row, col)
+    rng = np.random.default_rng(1)
+    lin = rng.choice(30 * 20, size=100, replace=False)
+    r, c = divmod(int(lin[37]), 20)
+    lin = rng.permutation(np.append(lin, lin[37]))
+    with pytest.raises(ValueError, match=rf"duplicate observation at \(row={r}, col={c}\)"):
+        ObservedMatrix(30, 20, lin // 20, lin % 20, np.ones(lin.size))
     with pytest.raises(ValueError, match="out of range"):
         ObservedMatrix(2, 2, [0, 2], [0, 0], [1.0, 2.0])
     with pytest.raises(ValueError, match="out of range"):
