@@ -101,24 +101,26 @@ def escape_decision(R, lam, p):
     return _top_pair_decision(R, lam, p)[1]
 
 
-def attempt(Y, F, cfg):
+def attempt(Y, F, cfg, R=None):
     """Try a rank-one escape at (Y, F); commit only on verified descent.
 
-    Returns (factors, decision). On acceptance the factors gain the
-    balanced column pair (tau u, tau v); on rejection (including the
+    R, the masked residual at F, spares its recomputation when the caller
+    holds it. Returns (factors, decision). On acceptance the factors gain
+    the balanced column pair (tau u, tau v); on rejection (including the
     rollback path and an unconverged top-pair iteration) the input factors
     are returned unchanged.
     """
-    R = masked_residual(Y, F)
+    R = masked_residual(Y, F) if R is None else R
     triple, dec = _top_pair_decision(R.to_csr(), cfg.lam, cfg.p)
     if not dec.accepted:
         return F, dec
+    obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
+    R = None  # released before the verifying gather at F_new
     tau = dec.tau
     F_new = Factors(
         np.hstack([F.U, tau * triple.u[:, None]]),
         np.hstack([F.V, tau * triple.v[:, None]]),
     )
-    obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
     obj_new = loss_value(Y, F_new) + cfg.lam * variational_sum(F_new, cfg.p)
     if obj_new < obj_old:
         return F_new, dec

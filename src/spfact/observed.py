@@ -8,7 +8,9 @@ observed values back into a dense zero matrix.
 
 predicted_values, and through it masked_residual and loss_value, gathers
 the factor rows of the observed entries in fixed-size blocks, so the
-O(|Z| d) gather needs O(block) scratch memory on top of its O(|Z|) output.
+O(|Z| d) gather needs two blocks of scratch memory on top of its O(|Z|)
+output. masked_residual and loss_value subtract into that output, so a
+residual costs one |Z|-length array.
 """
 
 from dataclasses import dataclass
@@ -141,7 +143,8 @@ def predicted_values(Y, F):
 
     Factor rows are gathered about _BLOCK elements per factor at a time.
     einsum reduces each row on its own, so the result does not depend on
-    the block size.
+    the block size. Each block pair is released before the next is taken,
+    so the scratch peak is two blocks.
     """
     _check_shapes(Y, F)
     out = np.empty(Y.nnz)
@@ -152,12 +155,14 @@ def predicted_values(Y, F):
         U_blk = F.U.take(Y.row[s:e], axis=0)
         V_blk = F.V.take(Y.col[s:e], axis=0)
         np.einsum("ij,ij->i", U_blk, V_blk, out=out[s:e])
+        del U_blk, V_blk
     return out
 
 
 def masked_residual(Y, F):
     """P(Y - U V^T): the residual triplets on the observed set."""
-    return Y._derive(Y.val - predicted_values(Y, F))
+    r = predicted_values(Y, F)
+    return Y._derive(np.subtract(Y.val, r, out=r))
 
 
 def adjoint_embed(R):
@@ -169,5 +174,6 @@ def adjoint_embed(R):
 
 def loss_value(Y, F):
     """Half squared residual on the observed set, 0.5 |P(Y - U V^T)|_F^2."""
-    r = Y.val - predicted_values(Y, F)
+    r = predicted_values(Y, F)
+    np.subtract(Y.val, r, out=r)
     return 0.5 * float(r @ r)

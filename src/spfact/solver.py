@@ -79,8 +79,10 @@ class EscapeEvent(NamedTuple):
 @dataclass
 class SolveReport:
     """stop_reason is "converged" (stagnated with no escape left to try),
-    "escape_rejected", "escape_unconverged" (the seeded restarted Lanczos
-    bidiagonalization for the escape's top pair hit its matvec cap) or
+    "escape_rejected", "collapse" (prune removed every column and the
+    final iterate is the retained zero column), "escape_unconverged" (the
+    seeded restarted Lanczos bidiagonalization for the escape's top pair
+    hit its matvec cap; it takes precedence over "collapse") or
     "max_iter"; converged is False for the last two."""
 
     final_width: int
@@ -91,7 +93,7 @@ class SolveReport:
 
     @property
     def converged(self):
-        return self.stop_reason in ("converged", "escape_rejected")
+        return self.stop_reason in ("converged", "escape_rejected", "collapse")
 
     @property
     def escapes(self):
@@ -118,12 +120,15 @@ def _weights(c, p):
     return p * c ** (p - 1.0)
 
 
-def _gradient(R, A, B, w, lam):
-    # Block A's gradient with B held fixed: (A, B, R) is (U, V, P*(residual))
-    # for the U block and (V, U, P*(residual)^T) for the V block.
-    G = -(R @ B)
+def _gradient(RB, A, w, lam):
+    # Block A's gradient -RB + lam A W, formed in RB's buffer. RB is the
+    # masked residual times the fixed block: (A, RB) is (U, P*(residual) V)
+    # for the U block and (V, P*(residual)^T U) for the V block.
+    G = np.negative(RB, out=RB)
     if lam:
-        G += lam * (A * w)
+        T = A * w
+        T *= lam
+        G += T
     return G
 
 
@@ -139,22 +144,24 @@ def _hessian(B, w, lam, side):
     return H
 
 
-def _block_update(R, A, B, w, lam, side):
-    # Minimizer of the block's quadratic surrogate: A - G H^-1.
-    G = _gradient(R, A, B, w, lam)
-    return A - np.linalg.solve(_hessian(B, w, lam, side), G.T).T
+def _block_update(RB, A, B, w, lam, side):
+    # Minimizer of the block's quadratic surrogate, A - G H^-1, with the
+    # difference written into the buffer of G H^-1.
+    G = _gradient(RB, A, w, lam)
+    step = np.linalg.solve(_hessian(B, w, lam, side), G.T).T
+    return np.subtract(A, step, out=step)
 
 
 def grad_U(Y, F, cfg):
     """Gradient of the objective in U: -P*(residual) V + lam U W."""
     w = _weights(column_energies(F), cfg.p)
-    return _gradient(masked_residual(Y, F).to_csr(), F.U, F.V, w, cfg.lam)
+    return _gradient(masked_residual(Y, F).to_csr() @ F.V, F.U, w, cfg.lam)
 
 
 def grad_V(Y, F, cfg):
     """Gradient of the objective in V: -P*(residual)^T U + lam V W."""
     w = _weights(column_energies(F), cfg.p)
-    return _gradient(masked_residual(Y, F).to_csr().T, F.V, F.U, w, cfg.lam)
+    return _gradient(masked_residual(Y, F).to_csr().T @ F.U, F.V, w, cfg.lam)
 
 
 def surrogate_hessian_U(F, cfg):
@@ -171,16 +178,21 @@ def bsum_step(Y, F, cfg, R=None, c=None):
     """One Gauss-Seidel sweep: surrogate-minimizing U update, then V.
 
     R, the masked residual at F, and c, the column energies of F, spare
-    their recomputation when the caller holds them.
+    their recomputation when the caller holds them. The sweep drops each
+    residual once it has formed that residual's product with the fixed
+    factor, so a caller that hands R over without keeping a reference
+    holds one |Z|-length residual at a time.
     """
-    R = masked_residual(Y, F) if R is None else R
     c = column_energies(F) if c is None else c
-    U = _block_update(R.to_csr(), F.U, F.V, _weights(c, cfg.p), cfg.lam, "U")
-    F1 = Factors(U, F.V)
-    R1 = masked_residual(Y, F1)
-    c1 = column_energies(F1)
-    V = _block_update(R1.to_csr().T, F1.V, F1.U, _weights(c1, cfg.p), cfg.lam, "V")
-    return Factors(U, V)
+    # Each residual and each product is released as soon as it is used.
+    RB = (masked_residual(Y, F) if R is None else R).to_csr() @ F.V
+    del R
+    F1 = Factors(_block_update(RB, F.U, F.V, _weights(c, cfg.p), cfg.lam, "U"), F.V)
+    del RB
+    RB = masked_residual(Y, F1).to_csr().T @ F1.U
+    V = _block_update(RB, F1.V, F1.U, _weights(column_energies(F1), cfg.p), cfg.lam, "V")
+    del RB
+    return Factors(F1.U, V)
 
 
 def prune(F, thres):
@@ -227,11 +239,13 @@ def _frob_inner(Fa, Fb):
 def _settle(Y, F, cfg):
     # Prune F, then take what the trace entry, the collapse guard and the
     # next sweep's U half read: the masked residual R and the column
-    # energies c at the pruned F, and the objective from them.
+    # energies c at the pruned F, and the objective from them. R comes in a
+    # one-slot list, which the caller pops to hand R on without keeping it;
+    # c is taken first, so its temporaries are gone before the gather.
     F = prune(F, cfg.prune_thres)
-    R = masked_residual(Y, F)
     c = column_energies(F)
-    return F, R, c, _objective(R, c, cfg)
+    R = masked_residual(Y, F)
+    return F, [R], c, _objective(R, c, cfg)
 
 
 def solve(Y, cfg, F0=None):
@@ -242,7 +256,8 @@ def solve(Y, cfg, F0=None):
     With escapes enabled, each time the test fires a rank-one escape is
     attempted; an accepted escape appends a column and iteration resumes,
     a rejected one (or an exhausted budget) terminates the solve. The
-    report's stop_reason records which of these ended it.
+    report's stop_reason records which of these ended it, and reads
+    "collapse" when prune left only the retained zero column.
 
     Returns (Factors, SolveReport). The report's objective trace has one
     entry for the initial point, one per sweep, and one per accepted
@@ -260,7 +275,7 @@ def solve(Y, cfg, F0=None):
         if F0.shape != Y.shape:
             raise ValueError("initial factor shape does not match the data")
         F = F0
-    F, R, c, obj = _settle(Y, F, cfg)
+    F, held, c, obj = _settle(Y, F, cfg)
     trace = [obj]
     events = []
     stop_reason = "max_iter"
@@ -268,7 +283,7 @@ def solve(Y, cfg, F0=None):
     for t in range(1, cfg.max_iter + 1):
         F_prev, self_prev = F, self_new
         if c.max() > 0.0:
-            F, R, c, obj = _settle(Y, bsum_step(Y, F, cfg, R, c), cfg)
+            F, held, c, obj = _settle(Y, bsum_step(Y, F, cfg, held.pop(), c), cfg)
         trace.append(obj)
         self_new = _frob_inner(F, F)
         d2 = self_new + self_prev - 2.0 * _frob_inner(F, F_prev)
@@ -279,16 +294,18 @@ def solve(Y, cfg, F0=None):
         if not (cfg.escape_enabled and cfg.lam > 0 and len(events) < cfg.escape_budget):
             stop_reason = "converged"
             break
-        F_new, dec = _escape.attempt(Y, F, cfg)
+        F_new, dec = _escape.attempt(Y, F, cfg, held.pop())
         if not dec.accepted:
             stop_reason = (
                 "escape_rejected" if dec.power_converged else "escape_unconverged"
             )
             break
-        F, R, c, obj = _settle(Y, F_new, cfg)
+        F, held, c, obj = _settle(Y, F_new, cfg)
         trace.append(obj)
         events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
         self_new = _frob_inner(F, F)
+    if not c.max() > 0.0 and stop_reason != "escape_unconverged":
+        stop_reason = "collapse"
 
     report = SolveReport(
         final_width=F.width,

@@ -186,6 +186,23 @@ def test_attempt_memory_stays_sparse():
     assert peak < 10 * 2**20
 
 
+def test_attempt_reuses_a_given_residual(monkeypatch):
+    # an accepted and a rejected escape: a passed residual gives the same
+    # factors and decision as the one attempt gathers itself, without a gather
+    rng = np.random.default_rng(3)
+    gt = gen_synthetic(SynthSpec(30, 20, 3, 10.0, 0.5, 0))
+    F = Factors(0.01 * rng.standard_normal((30, 2)), 0.01 * rng.standard_normal((20, 2)))
+    for lam, accepted in ((1.0, True), (1e4, False)):
+        cfg = SolverConfig(p=0.5, lam=lam, init_width=2)
+        F_ref, dec_ref = attempt(gt.y_obs, F, cfg)
+        R = masked_residual(gt.y_obs, F)
+        with monkeypatch.context() as mp:
+            mp.setattr(escape, "masked_residual", None)
+            F_got, dec_got = attempt(gt.y_obs, F, cfg, R)
+        assert dec_got == dec_ref and dec_got.accepted == accepted
+        assert np.array_equal(F_got.U, F_ref.U) and np.array_equal(F_got.V, F_ref.V)
+
+
 def test_unconverged_power_iteration_rejects(monkeypatch):
     # the fully observed case that test_appended_pair_balanced_and_descending
     # accepts, with power iteration cut off after one step

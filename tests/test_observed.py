@@ -238,3 +238,29 @@ def test_predicted_values_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_gather_holds_one_output_and_two_blocks():
+    # predicted_values, masked_residual and loss_value each peak at the
+    # output plus one block pair. A pair left bound while the next is taken
+    # adds a third block (262 KB here), a residual not subtracted in place a
+    # second output (0.96 MB). The 64 KiB slack covers einsum's iterator,
+    # the index views and Python objects (14 KB measured).
+    m, n, nnz, d = 4000, 3000, 120_000, 20
+    rng = np.random.default_rng(5)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    F = Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+    block = (observed._BLOCK // d) * d * 8
+    ref = Y.val - predicted_values(Y, F)
+    for fn in (predicted_values, masked_residual, loss_value):
+        fn(Y, F)  # warm up
+        tracemalloc.start()
+        try:
+            fn(Y, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nnz * 8 + 2 * block + 64 * 2**10
+    assert np.array_equal(masked_residual(Y, F).val, ref)
+    assert loss_value(Y, F) == 0.5 * float(ref @ ref)

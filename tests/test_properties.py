@@ -1,0 +1,67 @@
+"""Property tests of solve on small degenerate inputs.
+
+Hypothesis draws the geometry (m or n may be 1), an observed fraction from
+1e-3 to 1 with at least one observation, an optional empty row and empty
+column, the Schatten exponent p from 1e-3 to 1, and lam from 0 up to a
+value that prunes every column. Every solve must end with finite factors,
+an objective that never rises between escapes, and a documented stop
+reason; the collapsing lam must end in "collapse".
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from spfact import ObservedMatrix, SolverConfig, solve
+
+STOP_REASONS = {"converged", "escape_rejected", "collapse", "escape_unconverged", "max_iter"}
+COLLAPSE_LAM = 1e6
+
+
+@st.composite
+def instances(draw):
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    frac = draw(st.floats(1e-3, 1.0))
+    empty_row = m > 1 and draw(st.booleans())
+    empty_col = n > 1 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.arange(m - 1 if empty_row else m)
+    cols = np.arange(n - 1 if empty_col else n)
+    lin = (rows[:, None] * n + cols[None, :]).ravel()
+    k = max(1, int(round(frac * lin.size)))
+    lin = rng.choice(lin, size=k, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(k))
+    p = draw(st.floats(1e-3, 1.0))
+    lam = draw(st.sampled_from([0.0, 0.1, 1.0, COLLAPSE_LAM]))
+    # lam = 0 keeps the surrogate Hessian nonsingular only when the width
+    # fits inside both dimensions
+    width = draw(st.integers(1, min(m, n) if lam == 0.0 else 3))
+    cfg = SolverConfig(
+        p=p, lam=lam, init_width=width, max_iter=200, seed=draw(st.integers(0, 9))
+    )
+    return Y, cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_solve_on_degenerate_inputs(case):
+    Y, cfg = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the all-pruned notice
+        F, rep = solve(Y, cfg)
+    assert np.isfinite(F.U).all() and np.isfinite(F.V).all()
+    assert rep.stop_reason in STOP_REASONS
+    trace = rep.objective_trace
+    assert np.isfinite(trace).all()
+    cuts = [e.trace_index for e in rep.escape_events]
+    for lo, hi in zip([0] + cuts, cuts + [trace.size]):
+        seg = trace[lo:hi]
+        assert (np.diff(seg) <= 1e-12 * np.abs(seg[:-1])).all()
+    # an untrusted top pair outranks the collapse in the report
+    collapsed = F.width == 1 and not F.U.any() and not F.V.any()
+    expect_collapse = collapsed and rep.stop_reason != "escape_unconverged"
+    assert (rep.stop_reason == "collapse") == expect_collapse
+    if cfg.lam == COLLAPSE_LAM:
+        assert rep.stop_reason == "collapse"

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -258,8 +259,22 @@ def test_solve_zero_data():
     with pytest.warns(RuntimeWarning):
         F, rep = solve(Y, cfg)
     assert rep.converged
+    assert rep.stop_reason == "collapse"
     assert rep.objective_trace[-1] == pytest.approx(0.0, abs=1e-20)
     assert not F.matrix().any()
+
+
+@pytest.mark.parametrize("lam, scale", [(1e6, 1.0), (3.0, 1e-150)])
+def test_solve_reports_collapse(lam, scale):
+    # a lam that outweighs the data, and data too small to keep any column:
+    # prune drops every column and the escape from zero is rejected
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    Y = gt.y_obs.with_values(scale * gt.y_obs.val)
+    cfg = SolverConfig(p=0.5, lam=lam, init_width=6)
+    with pytest.warns(RuntimeWarning, match="retaining"):
+        F, rep = solve(Y, cfg)
+    assert rep.stop_reason == "collapse" and rep.converged
+    assert rep.final_width == 1 and not F.matrix().any()
 
 
 def test_solve_noiseless_rank2():
@@ -387,6 +402,27 @@ def test_step_cost_scales_linearly_in_observations():
 
 # ----------------------------------------------------------------------
 # the fused sweep inside solve, and why solve stopped
+
+
+def test_solve_holds_one_residual_at_a_time():
+    # a residual here is 0.96 MB and the factors 1.12 MB; the sweep holds the
+    # old and new factors, one residual and one gather block pair or one
+    # residual product: 3.7 MiB (6.1 MiB when residuals and copies outlived
+    # their use)
+    m, n, nnz, d = 4000, 3000, 120_000, 20
+    rng = np.random.default_rng(5)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    cfg = SolverConfig(p=0.5, lam=1.0, init_width=d, max_iter=3, escape_enabled=False)
+    solve(Y, cfg)  # warm up
+    tracemalloc.start()
+    try:
+        _, rep = solve(Y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iters == 3
+    assert peak <= 5 * 2**20
 
 
 def _hand_solve(Y, cfg, rep):
