@@ -35,8 +35,11 @@ def check_p(p):
 class Factors:
     """Factor pair (U, V) representing the matrix U @ V.T.
 
-    U is m x d and V is n x d with a shared width d >= 1. Arrays are
-    copied and frozen at construction; treat instances as immutable.
+    U is m x d and V is n x d with a shared width d >= 1. An array that is
+    already read-only, C-ordered and owns its data, such as another
+    instance's factor, is shared; any other input (a writeable array, a
+    read-only view, a list) is copied and the copy frozen. Treat instances
+    as immutable.
     """
 
     U: np.ndarray
@@ -51,12 +54,8 @@ class Factors:
             )
         if U.shape[1] < 1:
             raise ValueError("factors must have at least one column")
-        U = U.copy()
-        V = V.copy()
-        U.setflags(write=False)
-        V.setflags(write=False)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U", _frozen(U))
+        object.__setattr__(self, "V", _frozen(V))
 
     @property
     def width(self):
@@ -76,6 +75,17 @@ class Factors:
             np.linalg.norm(self.U, axis=0),
             np.linalg.norm(self.V, axis=0),
         )
+
+
+def _frozen(A):
+    # A itself when it is read-only, C-ordered and owns its data, as every
+    # factor of a Factors is; otherwise a frozen C-ordered copy, so a
+    # writeable input or a view of one can never change an instance.
+    if A.flags.owndata and A.flags.c_contiguous and not A.flags.writeable:
+        return A
+    A = A.copy()
+    A.setflags(write=False)
+    return A
 
 
 def column_energies(F):

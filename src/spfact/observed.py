@@ -22,7 +22,7 @@ import scipy.sparse as sp
 class ObservedMatrix:
     """Immutable sparse set of observed entries of an m x n matrix."""
 
-    __slots__ = ("m", "n", "row", "col", "val", "row_ptr", "_csr_index")
+    __slots__ = ("m", "n", "row", "col", "val", "row_ptr", "_row", "_col", "_csr_index")
 
     def __init__(self, m, n, row, col, val):
         m = int(m)
@@ -59,12 +59,17 @@ class ObservedMatrix:
         fits = max(m, n, row.size) <= np.iinfo(np.int32).max
         idx = np.int32 if fits else np.int64
         csr_index = (col.astype(idx), row_ptr.astype(idx))
-        for a in (row, col, val, row_ptr, *csr_index):
+        for a in (val, row_ptr, *csr_index):
             a.setflags(write=False)
         self.m = m
         self.n = n
-        self.row = row
-        self.col = col
+        # take() copies a read-only index array, so the gather indexes the
+        # writeable owners _row and _col, which nothing writes to; row and
+        # col are read-only views of them.
+        self._row = row
+        self._col = col
+        self.row = _read_only_view(row)
+        self.col = _read_only_view(col)
         self.val = val
         self.row_ptr = row_ptr
         self._csr_index = csr_index
@@ -76,7 +81,7 @@ class ObservedMatrix:
             raise ValueError("observed values contain NaN or Inf")
         val.setflags(write=False)
         obj = object.__new__(ObservedMatrix)
-        for name in ("m", "n", "row", "col", "row_ptr", "_csr_index"):
+        for name in ("m", "n", "row", "col", "row_ptr", "_row", "_col", "_csr_index"):
             setattr(obj, name, getattr(self, name))
         obj.val = val
         return obj
@@ -110,6 +115,12 @@ class ObservedMatrix:
         return sp.csr_matrix(
             (self.val, indices, indptr), shape=(self.m, self.n), copy=False
         )
+
+
+def _read_only_view(a):
+    v = a.view()
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -152,8 +163,8 @@ def predicted_values(Y, F):
     for s in range(0, Y.nnz, step):
         e = s + step
         # Plain take: take(..., out=buf) buffers the copy under mode="raise".
-        U_blk = F.U.take(Y.row[s:e], axis=0)
-        V_blk = F.V.take(Y.col[s:e], axis=0)
+        U_blk = F.U.take(Y._row[s:e], axis=0)
+        V_blk = F.V.take(Y._col[s:e], axis=0)
         np.einsum("ij,ij->i", U_blk, V_blk, out=out[s:e])
         del U_blk, V_blk
     return out

@@ -237,15 +237,14 @@ def _frob_inner(Fa, Fb):
 
 
 def _settle(Y, F, cfg):
-    # Prune F, then take what the trace entry, the collapse guard and the
-    # next sweep's U half read: the masked residual R and the column
-    # energies c at the pruned F, and the objective from them. R comes in a
-    # one-slot list, which the caller pops to hand R on without keeping it;
-    # c is taken first, so its temporaries are gone before the gather.
-    F = prune(F, cfg.prune_thres)
+    # What the trace entry, the collapse guard and the next sweep's U half
+    # read at the pruned iterate F: the masked residual R, the column
+    # energies c and the objective from them. R comes in a one-slot list,
+    # which the caller pops to hand R on without keeping it; c is taken
+    # first, so its temporaries are gone before the gather.
     c = column_energies(F)
     R = masked_residual(Y, F)
-    return F, [R], c, _objective(R, c, cfg)
+    return [R], c, _objective(R, c, cfg)
 
 
 def solve(Y, cfg, F0=None):
@@ -275,18 +274,26 @@ def solve(Y, cfg, F0=None):
         if F0.shape != Y.shape:
             raise ValueError("initial factor shape does not match the data")
         F = F0
-    F, held, c, obj = _settle(Y, F, cfg)
+    # Each iterate is pruned once, and the previous one is released before
+    # the gather at the new one, so the gather holds one factor pair.
+    F = prune(F, cfg.prune_thres)
+    self_new = _frob_inner(F, F)
+    held, c, obj = _settle(Y, F, cfg)
     trace = [obj]
     events = []
     stop_reason = "max_iter"
-    self_new = _frob_inner(F, F)
     for t in range(1, cfg.max_iter + 1):
         F_prev, self_prev = F, self_new
-        if c.max() > 0.0:
-            F, held, c, obj = _settle(Y, bsum_step(Y, F, cfg, held.pop(), c), cfg)
-        trace.append(obj)
+        moved = c.max() > 0.0
+        if moved:
+            F = prune(bsum_step(Y, F, cfg, held.pop(), c), cfg.prune_thres)
         self_new = _frob_inner(F, F)
-        d2 = self_new + self_prev - 2.0 * _frob_inner(F, F_prev)
+        cross = _frob_inner(F, F_prev)
+        del F_prev
+        if moved:
+            held, c, obj = _settle(Y, F, cfg)
+        trace.append(obj)
+        d2 = self_new + self_prev - 2.0 * cross
         den = np.sqrt(max(self_prev, 0.0))
         rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         if rel >= cfg.conv_tol:
@@ -294,16 +301,18 @@ def solve(Y, cfg, F0=None):
         if not (cfg.escape_enabled and cfg.lam > 0 and len(events) < cfg.escape_budget):
             stop_reason = "converged"
             break
-        F_new, dec = _escape.attempt(Y, F, cfg, held.pop())
+        # A rejected escape returns F itself; an accepted one replaces it.
+        F, dec = _escape.attempt(Y, F, cfg, held.pop())
         if not dec.accepted:
             stop_reason = (
                 "escape_rejected" if dec.power_converged else "escape_unconverged"
             )
             break
-        F, held, c, obj = _settle(Y, F_new, cfg)
+        F = prune(F, cfg.prune_thres)
+        self_new = _frob_inner(F, F)
+        held, c, obj = _settle(Y, F, cfg)
         trace.append(obj)
         events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
-        self_new = _frob_inner(F, F)
     if not c.max() > 0.0 and stop_reason != "escape_unconverged":
         stop_reason = "collapse"
 

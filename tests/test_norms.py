@@ -45,6 +45,32 @@ def test_factors_validation():
         F.U[0, 0] = 5.0  # frozen storage
 
 
+def test_factors_share_frozen_factors_and_copy_the_rest():
+    rng = np.random.default_rng(0)
+    U, V = rng.standard_normal((5, 2)), rng.standard_normal((4, 2))
+    F = Factors(U, V)
+    # a writeable input is copied, so writing to it leaves F unchanged
+    assert not np.shares_memory(F.U, U) and not np.shares_memory(F.V, V)
+    U[0, 0] += 1.0
+    assert F.U[0, 0] != U[0, 0]
+    # another instance's frozen factors are shared, not copied
+    G = Factors(F.U, F.V)
+    assert G.U is F.U and G.V is F.V
+    H = Factors(rng.standard_normal((5, 2)), F.V)
+    assert np.shares_memory(H.V, F.V) and not np.shares_memory(H.U, F.U)
+    # a read-only view of a writeable base is copied: mutating the base
+    # leaves the instance unchanged
+    base = rng.standard_normal((5, 2))
+    view = base.view()
+    view.setflags(write=False)
+    K = Factors(view, V)
+    assert not np.shares_memory(K.U, base)
+    base[:] = 0.0
+    assert (K.U != 0.0).all()
+    for A in (F, G, H, K):
+        assert not (A.U.flags.writeable or A.V.flags.writeable)
+
+
 def test_schatten_p_power_analytic():
     assert schatten_p_power(np.diag([4.0, 1.0]), 0.5) == pytest.approx(3.0)
     assert schatten_p_power(np.zeros((3, 2)), 0.7) == 0.0

@@ -264,3 +264,40 @@ def test_gather_holds_one_output_and_two_blocks():
         assert peak <= nnz * 8 + 2 * block + 64 * 2**10
     assert np.array_equal(masked_residual(Y, F).val, ref)
     assert loss_value(Y, F) == 0.5 * float(ref @ ref)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gather_holds_one_output_and_two_blocks_at_small_d(d):
+    # At small d a block holds many entries, so an index copy per block
+    # shows: take() copies a read-only index array, which would add
+    # step * 8 bytes per factor (263 KB at d=1, 89 KB at d=3). The gather
+    # indexes writeable private owners instead, and stays within the output
+    # plus two blocks plus 64 KiB.
+    m, n, nnz = 4000, 3000, 120_000
+    rng = np.random.default_rng(5)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    F = Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+    block = (observed._BLOCK // d) * d * 8
+    ref = np.einsum("ij,ij->i", F.U.take(Y.row, axis=0), F.V.take(Y.col, axis=0))
+    for fn in (predicted_values, masked_residual, loss_value):
+        fn(Y, F)  # warm up
+        tracemalloc.start()
+        try:
+            fn(Y, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nnz * 8 + 2 * block + 64 * 2**10
+    assert np.array_equal(predicted_values(Y, F), ref)
+
+
+def test_public_index_arrays_are_read_only_and_shared():
+    Y, F = hand_case()
+    R = masked_residual(Y, F)
+    for A in (Y, R, Y.with_values([1.0, 2.0])):
+        assert A.row is Y.row and A.col is Y.col
+        for a in (A.row, A.col):
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert Y.row.tolist() == [0, 1] and Y.col.tolist() == [0, 2]

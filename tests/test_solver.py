@@ -425,6 +425,42 @@ def test_solve_holds_one_residual_at_a_time():
     assert peak <= 5 * 2**20
 
 
+def test_solve_holds_its_working_set():
+    # The peak is one sweep's working set: the caller's factors
+    # ((m+n) d), the updated U (m d), one residual (nnz) and one product or
+    # gather block pair (n d here), plus 64 KiB of slack: 3.2 MB + 64 KiB.
+    # A second copy of V, or the previous iterate held through the gather,
+    # adds 0.48 MB or more (3.84 MB measured before both were dropped).
+    m, n, nnz, d = 4000, 3000, 120_000, 20
+    rng = np.random.default_rng(5)
+    lin = rng.choice(m * n, size=nnz, replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, rng.standard_normal(nnz))
+    cfg = SolverConfig(p=0.5, lam=1.0, init_width=d, max_iter=3, escape_enabled=False)
+    solve(Y, cfg)  # warm up
+    tracemalloc.start()
+    try:
+        _, rep = solve(Y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iters == 3
+    assert peak <= ((m + n) * d + m * d + nnz + n * d) * 8 + 64 * 2**10
+
+
+def test_solve_leaves_the_initial_factors_unchanged():
+    # Factors shares frozen arrays between instances, so the solve's
+    # iterates may share F0's storage; F0 itself must not change.
+    gt = gen_synthetic(SynthSpec(20, 20, 2, float("inf"), 0.4, 3))
+    cfg = SolverConfig(p=0.5, lam=0.5, init_width=1, seed=1)
+    F0 = random_factors(gt.y_obs, cfg)
+    U0, V0 = F0.U.copy(), F0.V.copy()
+    F, rep = solve(gt.y_obs, cfg, F0)
+    assert rep.iters > 1 and rep.escapes == 1
+    assert np.array_equal(F0.U, U0) and np.array_equal(F0.V, V0)
+    assert not (F0.U.flags.writeable or F0.V.flags.writeable)
+    assert not (F.U.flags.writeable or F.V.flags.writeable)
+
+
 def _hand_solve(Y, cfg, rep):
     # solve() rebuilt from the public pieces: bsum_step -> prune -> objective
     # per sweep, and attempt -> prune -> objective at each recorded escape
