@@ -28,6 +28,7 @@ import numpy as np
 
 from .datasets import (
     SynthSpec,
+    _write_fixture,
     gen_synthetic,
     load_fixture,
     nmae,
@@ -216,13 +217,14 @@ def _ratings(obs, args):
     return instance
 
 
-def _fixture(obs, truth, true_rank):
-    """The same fixture for every seed, scored by RE when it has held-out truth."""
+def _fixture(spec, obs, truth):
+    """(instance, true_rank) of a loaded fixture, scored by RE when it has truth."""
+    true_rank = spec.rank if spec else 0
     meta = _observed_meta(obs, true_rank)
     re_fn = None
     if truth is not None and truth.test_mask[0].size:
         re_fn = lambda F: relative_error(F, truth.x_true, truth.test_mask)
-    return lambda seed: (obs, meta, re_fn, None)
+    return (lambda seed: (obs, meta, re_fn, None)), true_rank
 
 
 # ----------------------------------------------------------------------
@@ -275,15 +277,10 @@ def _parse_init_ranks(tokens, true_rank, parser):
 
 
 def _load_input(args):
-    """Returns (instance, true_rank) for a fixture or a ratings file."""
-    if args.format in ("auto", "fixture"):
-        try:
-            spec, obs, truth = load_fixture(args.input)
-            true_rank = spec.rank if spec else 0
-            return _fixture(obs, truth, true_rank), true_rank
-        except (ValueError, OSError):
-            if args.format == "fixture":
-                raise
+    """(instance, true_rank); a six-field first line is a fixture header."""
+    with open(args.input) as fh:
+        if len(fh.readline().split()) == 6:
+            return _fixture(*load_fixture(args.input))
     return _ratings(parse_movielens(args.input), args), 0
 
 
@@ -431,10 +428,7 @@ def cmd_movielens_prep(args, parser):
         ms = split(obs, args.train_frac, args.seed)
         for name, part in (("train", ms.train), ("test", ms.test)):
             path = os.path.join(args.split_out, f"{name}.txt")
-            with open(path, "w") as fh:
-                fh.write(f"{obs.m} {obs.n} 0 nan nan {args.seed}\n")
-                for i, j, v in zip(part.row, part.col, part.val):
-                    fh.write(f"{i} {j} {float(v)!r}\n")
+            _write_fixture(path, part, 0, math.nan, math.nan, args.seed)
             print(f"wrote {path}: {part.nnz} triplets")
     return 0
 
@@ -545,7 +539,6 @@ def build_parser():
 
     sp = sub.add_parser("complete", help="run the solver over a parameter grid")
     sp.add_argument("--input", required=True, help="fixture file or MovieLens ratings file")
-    sp.add_argument("--format", choices=("auto", "fixture", "movielens"), default="auto")
     sp.add_argument("--p", default="0.5", help="comma-separated exponents")
     sp.add_argument("--lam", default="1.0", help="comma-separated regularization weights")
     sp.add_argument(

@@ -73,6 +73,18 @@ def gen_synthetic(spec):
     return GroundTruth(x_true, y_obs, np.divmod(test_lin, n))
 
 
+def _fields(path, lineno, line, types, expected, sep=None):
+    # The fields of a text line split at sep (whitespace when None), each
+    # converted by its entry of types; any other line raises naming it.
+    parts = line.strip().split(sep)
+    if len(parts) == len(types):
+        try:
+            return [t(x) for t, x in zip(types, parts)]
+        except ValueError:
+            pass
+    raise ValueError(f"{path}:{lineno}: expected {expected}, got {line.strip()!r}")
+
+
 def parse_movielens(path):
     """Parse a MovieLens u.data style file into an ObservedMatrix.
 
@@ -85,18 +97,11 @@ def parse_movielens(path):
     seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                u = int(parts[0])
-                i = int(parts[1])
-                rating = float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed line {line!r}") from None
+            u, i, rating, _ = _fields(
+                path, lineno, line, (int, int, float, str), "4 tab-separated fields", "\t"
+            )
             if u < 1 or i < 1:
                 raise ValueError(f"{path}:{lineno}: ids must be 1-based positive")
             if (u, i) in seen:
@@ -161,19 +166,21 @@ def nmae(F, test, r_min, r_max):
     return float(np.mean(np.abs(test.val - pred)) / (r_max - r_min))
 
 
+def _write_fixture(path, obs, rank, snr, missing, seed):
+    # The one writer of the fixture text format (see save_fixture).
+    with open(path, "w") as fh:
+        fh.write(f"{obs.m} {obs.n} {rank} {float(snr)!r} {float(missing)!r} {seed}\n")
+        for i, j, v in zip(obs.row, obs.col, obs.val):
+            fh.write(f"{i} {j} {float(v)!r}\n")
+
+
 def save_fixture(path, spec, obs):
-    """Write an instance in the interchange text format.
+    """Write obs, generated from spec, in the fixture text format.
 
     Header line 'm n r snr missing seed', then one 'row col value' line
     per observed triplet with full-precision values.
     """
-    with open(path, "w") as fh:
-        fh.write(
-            f"{spec.m} {spec.n} {spec.rank} {float(spec.snr_db)!r} "
-            f"{float(spec.missing_rate)!r} {spec.seed}\n"
-        )
-        for i, j, v in zip(obs.row, obs.col, obs.val):
-            fh.write(f"{i} {j} {float(v)!r}\n")
+    _write_fixture(path, obs, spec.rank, spec.snr_db, spec.missing_rate, spec.seed)
 
 
 def load_fixture(path):
@@ -183,25 +190,20 @@ def load_fixture(path):
     ground truth is re-derived by re-running the seeded generator and
     checking that the stored triplets match it exactly; on mismatch (a
     fixture produced elsewhere) the ground truth is None and metrics
-    that need it are unavailable.
+    that need it are unavailable. A malformed line raises naming its number.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6:
-            raise ValueError(f"{path}: bad fixture header")
-        m, n, r = int(header[0]), int(header[1]), int(header[2])
-        snr, missing, seed = float(header[3]), float(header[4]), int(header[5])
+        m, n, r, snr, missing, seed = _fields(
+            path, 1, fh.readline(), (int, int, int, float, float, int), "a header"
+        )
         rows, cols, vals = [], [], []
         for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
+            i, j, v = _fields(path, lineno, line, (int, int, float), "'row col value'")
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
     obs = ObservedMatrix(m, n, rows, cols, vals)
 
     spec = None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import RANK_TOL, check_p, schatten_p_power, variational_sum
+from .norms import _numerical_rank, check_p, schatten_p_power, variational_sum
 from .solver import grad_U, grad_V
 from .spectral import _as_finite_matrix, full_svd
 
@@ -62,9 +62,9 @@ def subgradient_check(X, G, p, tol=1e-6):
     if X.shape != G.shape:
         raise ValueError(f"shape mismatch: X is {X.shape}, G is {G.shape}")
     U, s, V = full_svd(X)
-    if s.size == 0 or s[0] == 0.0:
+    r = _numerical_rank(s)
+    if r == 0:
         raise ValueError("X must be nonzero")
-    r = int(np.sum(s > RANK_TOL * s[0]))
     U, s, V = U[:, :r], s[:r], V[:, :r]
 
     M = U.T @ G @ V

@@ -42,9 +42,12 @@ class EscapeDecision:
     """Outcome of the 1-D escape test.
 
     tau = sqrt(mu) when accepted and 0 otherwise; descent_value is the
-    modeled objective change f(tau) (0 when rejected). rip_gap marks an
-    append that the 1-D model accepted but the verified objective change
-    rejected, which rolls the append back. power_converged is False when
+    modeled objective change f(tau), 0 when rejected except under rip_gap.
+    rip_gap marks an append that the 1-D model accepted but the verified
+    objective change rejected, which rolls the append back; the decision
+    keeps the modeled descent that the verified objective contradicted. A
+    step whose appended column prune would drop at once (a norm at or
+    below cfg.prune_thres) is rejected too. power_converged is False when
     the top-pair iteration (restarted Lanczos bidiagonalization) spent its
     POWER_MAX_ITER matvec pairs before converging, which rejects the step.
     """
@@ -107,8 +110,8 @@ def attempt(Y, F, cfg, R=None):
     R, the masked residual at F, spares its recomputation when the caller
     holds it. Returns (factors, decision). On acceptance the factors gain
     the balanced column pair (tau u, tau v); on rejection (including the
-    rollback path and an unconverged top-pair iteration) the input factors
-    are returned unchanged.
+    rollback path, a column that prune would drop and an unconverged
+    top-pair iteration) the input factors are returned unchanged.
     """
     R = masked_residual(Y, F) if R is None else R
     triple, dec = _top_pair_decision(R.to_csr(), cfg.lam, cfg.p)
@@ -117,6 +120,10 @@ def attempt(Y, F, cfg, R=None):
     obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
     R = None  # released before the verifying gather at F_new
     tau = dec.tau
+    # prune would drop an appended column this short, leaving no descent
+    norms = np.linalg.norm(tau * triple.u), np.linalg.norm(tau * triple.v)
+    if min(norms) <= cfg.prune_thres:
+        return F, replace(dec, accepted=False, tau=0.0, descent_value=0.0)
     F_new = Factors(
         np.hstack([F.U, tau * triple.u[:, None]]),
         np.hstack([F.V, tau * triple.v[:, None]]),

@@ -93,14 +93,16 @@ def column_energies(F):
     return 0.5 * (np.sum(F.U * F.U, axis=0) + np.sum(F.V * F.V, axis=0))
 
 
+def _numerical_rank(s):
+    # How many singular values s (sorted descending) exceed RANK_TOL * s[0].
+    return int(np.sum(s > RANK_TOL * s[:1]))
+
+
 def schatten_p_power(X, p):
     """sum_i sigma_i(X)^p over the positive singular values of X."""
     p = check_p(p)
     _, s, _ = full_svd(X)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    s = s[s > RANK_TOL * s[0]]
-    return float(np.sum(s**p))
+    return float(np.sum(s[: _numerical_rank(s)] ** p))
 
 
 def variational_product(F, p):
@@ -128,10 +130,7 @@ def balanced_factorization(X, d):
     if d < 1:
         raise ValueError("width d must be at least 1")
     U, s, V = full_svd(X)
-    if s.size and s[0] > 0.0:
-        r = int(np.sum(s > RANK_TOL * s[0]))
-    else:
-        r = 0
+    r = _numerical_rank(s)
     if d < r:
         raise ValueError(f"width d={d} is below the numerical rank {r}")
     m, n = X.shape

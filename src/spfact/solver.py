@@ -79,11 +79,12 @@ class EscapeEvent(NamedTuple):
 @dataclass
 class SolveReport:
     """stop_reason is "converged" (stagnated with no escape left to try),
-    "escape_rejected", "collapse" (prune removed every column and the
-    final iterate is the retained zero column), "escape_unconverged" (the
-    seeded restarted Lanczos bidiagonalization for the escape's top pair
-    hit its matvec cap; it takes precedence over "collapse") or
-    "max_iter"; converged is False for the last two."""
+    "escape_rejected" (the escape test, its verified descent or the prune
+    of its appended column rejected the step), "collapse" (prune removed
+    every column and the final iterate is the retained zero column),
+    "escape_unconverged" (the seeded restarted Lanczos bidiagonalization
+    for the escape's top pair hit its matvec cap; it takes precedence over
+    "collapse") or "max_iter"; converged is False for the last two."""
 
     final_width: int
     objective_trace: np.ndarray

@@ -6,8 +6,8 @@ ordering conventions are fixed here once: singular values sorted
 descending, and the first nonzero entry of every left singular vector
 made nonnegative (right vector flipped along with it).
 
-full_svd works on dense matrices. top_singular_pair touches its input only
-through matvecs, so it also takes a scipy sparse matrix: each matvec pair
+full_svd works on dense matrices. top_singular_pair applies its input, dense
+or scipy sparse, only through matvecs of its float CSR: each matvec pair
 then costs O(nnz) and no dense m x n array is formed. It runs restarted
 Golub-Kahan-Lanczos bidiagonalization, whose convergence is governed by
 the square root of the relative gap sigma_1/sigma_2 - 1 where plain power
@@ -42,10 +42,10 @@ def _as_finite_matrix(X, name="matrix"):
 
 
 def _as_finite_operator(X, name="matrix"):
-    # Dense input as in _as_finite_matrix; sparse input as float CSR, with
-    # the finiteness check on its stored values.
+    # Any input as float CSR, with the finiteness check on its stored
+    # values; a dense input is first checked as in _as_finite_matrix.
     if not sp.issparse(X):
-        return _as_finite_matrix(X, name)
+        X = _as_finite_matrix(X, name)
     X = sp.csr_matrix(X, dtype=float)
     if not np.isfinite(X.data).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
@@ -109,9 +109,9 @@ def top_singular_pair(X, tol=1e-9, max_iter=10000):
     all cycles; if it is spent first, the last pair is returned with
     converged=False.
 
-    X is a dense array or a scipy sparse matrix. A sparse X is applied
-    through matvecs of its CSR and of the zero-copy transposed view, so
-    each pair costs O(nnz), and the bases take O((m + n) _BASIS) memory.
+    X, dense or scipy sparse, is applied through matvecs of its float CSR and
+    of the zero-copy transposed view (a dense X and its CSR give the same
+    triple): each pair costs O(nnz), and the bases take O((m + n) _BASIS).
     """
     X = _as_finite_operator(X)
     if tol <= 0:
@@ -120,15 +120,10 @@ def top_singular_pair(X, tol=1e-9, max_iter=10000):
         raise ValueError("max_iter must be at least 1")
     m, n = X.shape
     Xt = X.T
-    nonzero = X.data.any() if sp.issparse(X) else X.any()
 
     rng = np.random.default_rng(_POWER_SEED)
-    if not nonzero:
-        u = np.zeros(m)
-        v = np.zeros(n)
-        u[0] = 1.0
-        v[0] = 1.0
-        return SpectralTriple(0.0, u, v, True)
+    if not X.data.any():
+        return SpectralTriple(0.0, np.eye(1, m)[0], np.eye(1, n)[0], True)
 
     u = rng.standard_normal(m)
     u /= np.linalg.norm(u)

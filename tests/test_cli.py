@@ -216,6 +216,24 @@ def test_complete_failure_row_and_exit_code(tmp_path):
     assert len(errs) == 1 and "singular" in errs[0]
 
 
+def test_complete_names_the_malformed_fixture_line(tmp_path, capsys):
+    # a six-field first line picks the fixture reader, whose error names
+    # the bad triplet line rather than a ratings-parser complaint
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 3 1 10.0 0.5 0\n0 1 2.5\n1 x 2.5\n")
+    code = run_cli(["complete", "--input", str(bad), "--no-timing"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3: " in err and "tab-separated" not in err
+
+
+def test_complete_has_no_format_option(tmp_path):
+    fixture = make_fixture(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        run_cli(["complete", "--input", str(fixture), "--format", "fixture"])
+    assert e.value.code == 2
+
+
 def test_bench_table1_counting(tmp_path):
     out_dir = tmp_path / "bench"
     code = run_cli(

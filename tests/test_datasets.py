@@ -225,3 +225,13 @@ def test_fixture_rejects_garbage(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(ValueError, match="header"):
         load_fixture(path)
+
+
+def test_fixture_names_the_malformed_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 3 1 10.0 0.5 0\n0 1 2.5\n1 x 2.5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:3: .*'1 x 2\.5'"):
+        load_fixture(path)
+    path.write_text("2 3 one 10.0 0.5 0\n0 1 2.5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:1: .*header"):
+        load_fixture(path)

@@ -12,6 +12,7 @@ from spfact import (
     objective,
     SynthSpec,
     masked_residual,
+    solve,
 )
 from spfact import escape
 from spfact.escape import _decide, attempt
@@ -223,3 +224,37 @@ def test_escape_decision_reads_the_patched_matvec_cap(monkeypatch):
     monkeypatch.setattr(escape, "POWER_MAX_ITER", 1)
     dec = escape_decision(np.diag([3.0, 0.5]), 1.0, 0.5)
     assert not dec.accepted and not dec.power_converged
+
+
+def test_escape_whose_column_prune_would_drop_is_rejected():
+    # sigma = 1e-11 > lam = 1e-12 passes the p = 1 polar test with
+    # tau = sqrt(sigma - lam) = 3e-6, below the default prune_thres of 1e-5,
+    # so appending the pair would leave nothing after the solve's prune
+    Y = ObservedMatrix.from_dense(np.diag([1.0, 1e-11]))
+    F0 = Factors([[1.0], [0.0]], [[1.0], [0.0]])
+    cfg = SolverConfig(p=1.0, lam=1e-12, init_width=1)
+    F, dec = attempt(Y, F0, cfg)
+    assert F is F0
+    assert not dec.accepted and not dec.rip_gap and dec.power_converged
+    assert dec.tau == 0.0 and dec.descent_value == 0.0
+    assert dec.sigma == pytest.approx(1e-11)
+    F, rep = solve(Y, cfg, F0)
+    assert rep.escapes == 0
+    assert rep.stop_reason == "escape_rejected"
+    assert F.width == 1
+
+
+def test_rollback_path_of_a_real_attempt():
+    # residual diag(1, 0) at F; sigma = 1 just above lam = 1 - 1e-8 gives
+    # tau = 1e-4 and a modeled descent of -5e-17, which the verified
+    # objective does not realize in floating point
+    Y = ObservedMatrix.from_dense(np.diag([1.0, 0.5]))
+    F = Factors([[0.0], [np.sqrt(0.5)]], [[0.0], [np.sqrt(0.5)]])
+    cfg = SolverConfig(p=1.0, lam=1.0 - 1e-8, init_width=1)
+    F2, dec = attempt(Y, F, cfg)
+    assert F2 is F
+    assert not dec.accepted and dec.rip_gap and dec.power_converged
+    assert dec.tau == 0.0
+    # the rolled-back decision keeps the modeled descent it contradicted
+    assert dec.descent_value == -0.5 * dec.mu * dec.mu
+    assert dec.descent_value == pytest.approx(-5e-17, rel=1e-6)

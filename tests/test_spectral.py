@@ -138,10 +138,10 @@ def test_top_pair_sparse_matches_dense():
         d = top_singular_pair(X, tol=1e-12, max_iter=50000)
         s = top_singular_pair(sp.csr_matrix(X), tol=1e-12, max_iter=50000)
         assert s.converged and d.converged
-        assert abs(s.sigma - d.sigma) <= 1e-9 * d.sigma
-        # both apply the fixed sign convention, so the vectors agree unflipped
-        assert np.allclose(s.u, d.u, atol=1e-6)
-        assert np.allclose(s.v, d.v, atol=1e-6)
+        # a dense input runs as its CSR, so the triples agree bit for bit
+        assert s.sigma == d.sigma
+        assert np.array_equal(s.u, d.u)
+        assert np.array_equal(s.v, d.v)
 
 
 def test_top_pair_sparse_zero_matrix():
