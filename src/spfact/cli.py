@@ -8,9 +8,10 @@ Subcommands
 
 Runs are emitted as CSV with a fixed column order (see CSV_COLUMNS), one
 row per configuration, plus an optional JSON mirror that also carries
-each run's stop reason and error message. Output is deterministic for
-fixed inputs and seeds; wall_ms is the one exception unless --no-timing
-zeroes it.
+each run's stop reason and error message. bench also writes its suite's
+summary CSV and prints the same text to stdout. Output is deterministic
+for fixed inputs and seeds; wall_ms is the one exception unless
+--no-timing zeroes it.
 
 A 'key = value' config file (--config) supplies flag defaults; explicit
 flags win. The SPFACT_OUTDIR environment variable sets the default
@@ -70,6 +71,12 @@ TABLE1_LAM = 100.0
 PTREND_LAMS = (12.5, 50.0, 200.0, 800.0, 3200.0)
 MOVIELENS_LAM = 15.0
 
+# The solve columns of a run that raised, in row order
+FAILED_RUN = dict(
+    iters=0, escapes=0, final_rank=0, objective=math.nan, re=math.nan, nmae=math.nan,
+    stop_reason="", converged=False,
+)
+
 
 def _outdir(value):
     return value if value is not None else os.environ.get("SPFACT_OUTDIR", ".")
@@ -97,13 +104,8 @@ def _write_csv(path, runs):
 
 
 def _write_json(path, runs):
-    mirror = []
-    for row, err in runs:
-        entry = dict(row)
-        entry["error"] = err
-        mirror.append(entry)
     with open(path, "w") as fh:
-        json.dump(mirror, fh, indent=2)
+        json.dump([dict(row, error=err) for row, err in runs], fh, indent=2)
         fh.write("\n")
 
 
@@ -118,17 +120,15 @@ def _report_failures(runs):
     return 1 if failed else 0
 
 
-def _run_one(suite, y_train, cfg, meta, no_timing, re_fn, nmae_fn):
-    """Solve one configuration and assemble a full RunRecord row."""
-    row = dict(meta)
-    row.update(
-        suite=suite,
-        p=cfg.p,
-        init_rank=cfg.init_width,
-        escape="on" if cfg.escape_enabled else "off",
-        seed=cfg.seed,
-    )
-    row["lambda"] = cfg.lam
+def _run_one(suite, y_train, cfg, meta, no_timing, score):
+    """Solve one configuration and assemble a full RunRecord row.
+
+    The row starts from FAILED_RUN; a run that solves and scores
+    overwrites each of its values.
+    """
+    escape = "on" if cfg.escape_enabled else "off"
+    row = dict(meta, suite=suite, p=cfg.p, init_rank=cfg.init_width, escape=escape)
+    row.update({"seed": cfg.seed, "lambda": cfg.lam}, **FAILED_RUN)
     t0 = time.perf_counter()
     error = ""
     try:
@@ -138,23 +138,12 @@ def _run_one(suite, y_train, cfg, meta, no_timing, re_fn, nmae_fn):
             escapes=report.escapes,
             final_rank=report.final_width,
             objective=float(report.objective_trace[-1]),
-            re=re_fn(F) if re_fn else float("nan"),
-            nmae=nmae_fn(F) if nmae_fn else float("nan"),
+            **score(F),
             stop_reason=report.stop_reason,
             converged=bool(report.converged),
         )
     except Exception as exc:  # noqa: BLE001 - finish the remaining runs
         error = f"{type(exc).__name__}: {exc}"
-        row.update(
-            iters=0,
-            escapes=0,
-            final_rank=0,
-            objective=float("nan"),
-            re=float("nan"),
-            nmae=float("nan"),
-            stop_reason="",
-            converged=False,
-        )
     row["wall_ms"] = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
     return row, error
 
@@ -162,24 +151,34 @@ def _run_one(suite, y_train, cfg, meta, no_timing, re_fn, nmae_fn):
 def _run_grid(suite, instance, grid, args):
     """Solve each (init_rank, p, lam, escape_on, seed) cell, in grid order.
 
-    instance(seed) returns (y_train, meta, re_fn, nmae_fn) for that seed.
+    instance(seed) returns (y_train, meta, score) for that seed.
     """
     runs = []
     for init_rank, p, lam, escape_on, seed in grid:
-        y_train, meta, re_fn, nmae_fn = instance(seed)
+        y_train, meta, score = instance(seed)
         cfg = SolverConfig(
-            p=p,
-            lam=lam,
-            init_width=init_rank,
-            prune_thres=args.prune_thres,
-            max_iter=args.max_iter,
-            conv_tol=args.conv_tol,
-            escape_enabled=escape_on,
+            p=p, lam=lam, init_width=init_rank, escape_enabled=escape_on, seed=seed,
+            prune_thres=args.prune_thres, max_iter=args.max_iter, conv_tol=args.conv_tol,
             escape_check_max=args.escape_budget,
-            seed=seed,
         )
-        runs.append(_run_one(suite, y_train, cfg, meta, args.no_timing, re_fn, nmae_fn))
+        runs.append(_run_one(suite, y_train, cfg, meta, args.no_timing, score))
     return runs
+
+
+def _score(truth=None, test=None, args=None):
+    """score(F) -> {"re", "nmae"}; a metric with nothing to score is NaN.
+
+    RE is taken over truth's held-out entries, NMAE over the test ratings
+    on the [args.rmin, args.rmax] scale.
+    """
+
+    def score(F):
+        return dict(
+            re=relative_error(F, truth.x_true, truth.test_mask) if truth else math.nan,
+            nmae=nmae(F, test, args.rmin, args.rmax) if test else math.nan,
+        )
+
+    return score
 
 
 def _synthetic(args):
@@ -191,19 +190,14 @@ def _synthetic(args):
     def instance(seed):
         spec = SynthSpec(args.m, args.n, args.rank, args.snr, args.missing, seed)
         gt = gen_synthetic(spec)
-        return gt.y_obs, meta, lambda F: relative_error(F, gt.x_true, gt.test_mask), None
+        return gt.y_obs, meta, _score(truth=gt)
 
     return instance
 
 
-def _observed_meta(y_train, true_rank):
-    return dict(
-        m=y_train.m,
-        n=y_train.n,
-        true_rank=true_rank,
-        missing=1.0 - y_train.nnz / (y_train.m * y_train.n),
-        snr_db=float("nan"),
-    )
+def _observed_meta(y, true_rank):
+    missing = 1.0 - y.nnz / (y.m * y.n)
+    return dict(m=y.m, n=y.n, true_rank=true_rank, missing=missing, snr_db=math.nan)
 
 
 def _ratings(obs, args):
@@ -211,8 +205,7 @@ def _ratings(obs, args):
 
     def instance(seed):
         ms = split(obs, args.train_frac, seed)
-        nmae_fn = lambda F: nmae(F, ms.test, args.rmin, args.rmax)
-        return ms.train, _observed_meta(ms.train, 0), None, nmae_fn
+        return ms.train, _observed_meta(ms.train, 0), _score(test=ms.test, args=args)
 
     return instance
 
@@ -220,11 +213,10 @@ def _ratings(obs, args):
 def _fixture(spec, obs, truth):
     """(instance, true_rank) of a loaded fixture, scored by RE when it has truth."""
     true_rank = spec.rank if spec else 0
-    meta = _observed_meta(obs, true_rank)
-    re_fn = None
-    if truth is not None and truth.test_mask[0].size:
-        re_fn = lambda F: relative_error(F, truth.x_true, truth.test_mask)
-    return (lambda seed: (obs, meta, re_fn, None)), true_rank
+    if truth is not None and not truth.test_mask[0].size:
+        truth = None  # fully observed: no held-out entries to score
+    inst = (obs, _observed_meta(obs, true_rank), _score(truth=truth))
+    return (lambda seed: inst), true_rank
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +224,11 @@ def _fixture(spec, obs, truth):
 
 
 def cmd_synth(args, parser):
-    if not 0.0 <= args.missing < 1.0:
-        parser.error("--missing must lie in [0, 1)")
     snr = math.inf if args.snr is None else args.snr
-    spec = SynthSpec(args.m, args.n, args.rank, snr, args.missing, args.seed)
+    try:
+        spec = SynthSpec(args.m, args.n, args.rank, snr, args.missing, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     gt = gen_synthetic(spec)
     out = args.out
     if out is None:
@@ -303,12 +296,13 @@ def cmd_complete(args, parser):
 
 
 # ----------------------------------------------------------------------
-# bench: each suite runs its grid, prints its table and returns
-# (runs, summary CSV lines)
+# bench: each suite runs its grid and returns (runs, summary CSV lines)
 
 
-def _median(xs):
-    return float(np.median(np.asarray(xs)))
+def _median(runs, field, **match):
+    """Median of field over the rows of runs that match every key=value."""
+    rows = [row for row, _ in runs if all(row[k] == v for k, v in match.items())]
+    return float(np.median([row[field] for row in rows]))
 
 
 def _table1(args):
@@ -325,28 +319,15 @@ def _table1(args):
 
     # summary axes: one row per initial-rank multiplier, one column pair
     # (median RE, median rank) per escape-mode x p combination
-    rows = [row for row, _ in runs]
     combos = [(p, esc) for p in ps for esc in ("on", "off")]
-    header = ["init_mult"]
-    for p, esc in combos:
-        header += [f"re_p{p:g}_esc_{esc}", f"rank_p{p:g}_esc_{esc}"]
-    summary = [",".join(header)]
-    print("init_mult  " + "  ".join(f"p={p:g}/{esc}" for p, esc in combos))
+    header = [f"re_p{p:g}_esc_{esc},rank_p{p:g}_esc_{esc}" for p, esc in combos]
+    summary = [",".join(["init_mult"] + header)]
     for mult, ir in zip(TABLE1_MULTIPLIERS, init_ranks):
         cells = [str(mult)]
-        shown = []
         for p, esc in combos:
-            sel = [
-                r
-                for r in rows
-                if r["init_rank"] == ir and r["p"] == p and r["escape"] == esc
-            ]
-            re_med = _median([r["re"] for r in sel])
-            rank_med = _median([r["final_rank"] for r in sel])
-            cells += [repr(re_med), repr(rank_med)]
-            shown.append(f"{re_med:.4f}/r{rank_med:g}")
+            for field in ("re", "final_rank"):
+                cells.append(repr(_median(runs, field, init_rank=ir, p=p, escape=esc)))
         summary.append(",".join(cells))
-        print(f"{mult:<10} " + "  ".join(shown))
     return runs, summary
 
 
@@ -359,23 +340,17 @@ def _ptrend(args):
     ]
     runs = _run_grid("ptrend", _synthetic(args), grid, args)
 
-    # summary: one RE column per p, each taken at that p's best lambda
-    rows = [row for row, _ in runs]
-    best = {}
-    for p in ps:
-        for lam in lams:
-            sel = [r for r in rows if r["p"] == p and r["lambda"] == lam]
-            re_med = _median([r["re"] for r in sel])
-            if p not in best or re_med < best[p][1]:
-                best[p] = (lam, re_med)
+    # summary: one RE column per p, each taken at that p's best lambda; min
+    # keeps the first lambda on ties, and a NaN median wins only when first
+    re_med = {
+        (p, lam): _median(runs, "re", p=p, **{"lambda": lam}) for p in ps for lam in lams
+    }
+    best = {p: min(lams, key=lambda lam: re_med[p, lam]) for p in ps}
     summary = [
         "metric," + ",".join(f"p={p:g}" for p in ps),
-        "re_median," + ",".join(repr(best[p][1]) for p in ps),
-        "best_lambda," + ",".join(repr(best[p][0]) for p in ps),
+        "re_median," + ",".join(repr(re_med[p, best[p]]) for p in ps),
+        "best_lambda," + ",".join(repr(best[p]) for p in ps),
     ]
-    print("        " + "  ".join(f"p={p:<10g}" for p in ps))
-    print("re      " + "  ".join(f"{best[p][1]:<12.4f}" for p in ps))
-    print("lambda  " + "  ".join(f"{best[p][0]:<12g}" for p in ps))
     return runs, summary
 
 
@@ -387,14 +362,9 @@ def _movielens(args):
         for seed in range(args.seeds)
     ]
     runs = _run_grid("movielens", _ratings(parse_movielens(args.data), args), grid, args)
-
-    rows = [row for row, _ in runs]
-    summary = ["init_rank,nmae_median"]
-    print("init_rank  median_nmae")
-    for ir in MOVIELENS_INIT_RANKS:
-        med = _median([r["nmae"] for r in rows if r["init_rank"] == ir])
-        summary.append(f"{ir},{med!r}")
-        print(f"{ir:<10} {med:.4f}")
+    summary = ["init_rank,nmae_median"] + [
+        f"{ir},{_median(runs, 'nmae', init_rank=ir)!r}" for ir in MOVIELENS_INIT_RANKS
+    ]
     return runs, summary
 
 
@@ -406,9 +376,10 @@ def cmd_bench(args, parser):
     os.makedirs(out_dir, exist_ok=True)
     runs, summary = SUITES[args.suite](args)
     _write_csv(os.path.join(out_dir, f"{args.suite}_runs.csv"), runs)
+    text = "\n".join(summary) + "\n"
     with open(os.path.join(out_dir, f"{args.suite}_summary.csv"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-    print(f"wrote {out_dir}/{args.suite}_runs.csv and {args.suite}_summary.csv")
+        fh.write(text)
+    sys.stdout.write(text)
     return _report_failures(runs)
 
 

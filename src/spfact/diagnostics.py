@@ -1,10 +1,9 @@
 """Numerical optimality certificates for factorized Schatten-p problems.
 
-Three checks are provided: normalized gradient norms of a factor pair
-(stationarity in the factor space), membership of a candidate matrix in
-the regular subdifferential of |X|_Sp^p (stationarity in the ambient
-space), and the gap between the variational sum form and the Schatten
-value (zero certifies a balanced, attaining factorization).
+Three checks: normalized gradient norms of a factor pair (stationarity in
+the factor space), membership of a matrix in the regular subdifferential
+of |X|_Sp^p (stationarity in the ambient space), and the sum-form minus
+Schatten gap on the factor core (zero certifies a balanced factorization).
 """
 
 from dataclasses import dataclass
@@ -86,7 +85,8 @@ def subgradient_check(X, G, p, tol=1e-6):
 def variational_gap(F, p):
     """Sum-form value minus the Schatten value of U V^T; always >= 0.
 
-    A gap at numerical zero certifies that F attains the variational
-    minimum, i.e. is equivalent to a balanced SVD factorization.
+    Zero certifies a balanced factorization. The Schatten value is taken
+    on the core R_U R_V^T of thin QRs of U and V, not on the m x n product.
     """
-    return variational_sum(F, p) - schatten_p_power(F.matrix(), p)
+    core = np.linalg.qr(F.U, mode="r") @ np.linalg.qr(F.V, mode="r").T
+    return variational_sum(F, p) - schatten_p_power(core, p)

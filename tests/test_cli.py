@@ -71,6 +71,14 @@ def test_synth_usage_errors(tmp_path):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("bad", [["--rank", "5"], ["--m", "0"], ["--missing", "-0.1"]])
+def test_synth_rejects_a_bad_spec_as_usage_error(bad):
+    # the instance's own range checks are usage errors, as --missing 1.0 is
+    with pytest.raises(SystemExit) as e:
+        run_cli(["synth", "--m", "4", "--n", "4", "--rank", "1"] + bad)
+    assert e.value.code == 2
+
+
 def test_synth_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPFACT_OUTDIR", str(tmp_path))
     assert run_cli(["synth", "--m", "6", "--n", "5", "--rank", "1"]) == 0
@@ -550,3 +558,91 @@ def test_bench_rejects_flags_the_suite_ignores(argv):
     with pytest.raises(SystemExit) as e:
         run_cli(argv)
     assert e.value.code == 2
+
+
+def _recomputed_summary(suite, rows):
+    """The summary CSV lines of a bench suite, rebuilt from its runs CSV.
+
+    Medians are numpy's over the parsed cells; ptrend keeps, per p, the
+    first lambda whose median RE is strictly below every earlier one's, so
+    a NaN median at the first lambda stays the best.
+    """
+    med = lambda sel, col: float(np.median([float(r[col]) for r in sel]))
+    if suite == "table1":
+        ps = list(dict.fromkeys(float(r["p"]) for r in rows))
+        rank = int(rows[0]["true_rank"])
+        combos = [(p, esc) for p in ps for esc in ("on", "off")]
+        lines = [
+            "init_mult,"
+            + ",".join(f"re_p{p:g}_esc_{e},rank_p{p:g}_esc_{e}" for p, e in combos)
+        ]
+        for mult in (0.5, 0.75, 1.0, 1.25, 1.5):
+            ir = max(1, round(mult * rank))
+            cells = [str(mult)]
+            for p, esc in combos:
+                sel = [
+                    r for r in rows
+                    if int(r["init_rank"]) == ir and float(r["p"]) == p and r["escape"] == esc
+                ]
+                cells += [repr(med(sel, "re")), repr(med(sel, "final_rank"))]
+            lines.append(",".join(cells))
+        return lines
+    if suite == "ptrend":
+        ps = list(dict.fromkeys(float(r["p"]) for r in rows))
+        lams = list(dict.fromkeys(float(r["lambda"]) for r in rows))
+        best = {}
+        for p in ps:
+            for lam in lams:
+                sel = [r for r in rows if float(r["p"]) == p and float(r["lambda"]) == lam]
+                re_med = med(sel, "re")
+                if p not in best or re_med < best[p][1]:
+                    best[p] = (lam, re_med)
+        return [
+            "metric," + ",".join(f"p={p:g}" for p in ps),
+            "re_median," + ",".join(repr(best[p][1]) for p in ps),
+            "best_lambda," + ",".join(repr(best[p][0]) for p in ps),
+        ]
+    return ["init_rank,nmae_median"] + [
+        f"{ir},{med([r for r in rows if int(r['init_rank']) == ir], 'nmae')!r}"
+        for ir in (10, 20, 30)
+    ]
+
+
+SUMMARY_CASES = {
+    "table1": ["bench", "table1", "--m", "14", "--n", "12", "--rank", "2", "--seeds", "2",
+               "--lam", "2.0"],
+    "ptrend": ["bench", "ptrend", "--m", "14", "--n", "12", "--rank", "2", "--seeds", "3",
+               "--p", "0.5,0.3", "--lams", "0.5,2.0"],
+    # lambda 0 with an init wider than n fails, so its median RE is NaN
+    "ptrend_nan_first": ["bench", "ptrend", "--m", "12", "--n", "10", "--rank", "2",
+                         "--seeds", "1", "--p", "0.5", "--lams", "0,1.0", "--init-rank", "11"],
+    "ptrend_nan_last": ["bench", "ptrend", "--m", "12", "--n", "10", "--rank", "2",
+                        "--seeds", "1", "--p", "0.5", "--lams", "1.0,0", "--init-rank", "11"],
+    "movielens": ["bench", "movielens", "--data", "{ratings}", "--seeds", "2", "--lam", "2.0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+def test_bench_summary_values_match_the_runs(tmp_path, case):
+    ratings = write_ratings(tmp_path / "u.data", m=40, n=35, k=700, seed=1)
+    argv = [a.format(ratings=ratings) for a in SUMMARY_CASES[case]]
+    argv += ["--max-iter", "40", "--out-dir", str(tmp_path), "--no-timing"]
+    run_cli(argv)
+    suite = argv[1]
+    rows = read_csv(tmp_path / f"{suite}_runs.csv")
+    summary = (tmp_path / f"{suite}_summary.csv").read_text().splitlines()
+    assert summary == _recomputed_summary(suite, rows)
+    if case.startswith("ptrend_nan"):
+        # a NaN median at the first lambda is kept; a later one never wins
+        first = case.endswith("first")
+        assert summary[2] == ("best_lambda,0.0" if first else "best_lambda,1.0")
+        assert (summary[1] == "re_median,nan") == first
+
+
+@pytest.mark.parametrize("suite", ["table1", "ptrend", "movielens"])
+def test_bench_prints_its_summary_file(tmp_path, capsys, suite):
+    ratings = write_ratings(tmp_path / "u.data", m=40, n=35, k=700, seed=1)
+    argv = [a.format(ratings=ratings) for a in SUMMARY_CASES[suite]]
+    argv += ["--max-iter", "5", "--seeds", "1", "--out-dir", str(tmp_path), "--no-timing"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (tmp_path / f"{suite}_summary.csv").read_text()

@@ -169,3 +169,41 @@ def test_rebalanced_solution_certificate():
     Fb = balanced_factorization(F.matrix(), F.width)
     assert variational_gap(Fb, cfg.p) <= 1e-8
     assert objective(gt.y_obs, Fb, cfg) <= objective(gt.y_obs, F, cfg) + 1e-9
+
+
+def test_variational_gap_matches_the_dense_product():
+    # the factor-core route against the m x n product, on random shapes
+    # (m or n below d included), rank-deficient pairs and zero factors
+    from spfact.norms import schatten_p_power, variational_sum
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(100):
+        m, n, d = (int(k) for k in rng.integers(1, 9, size=3))
+        cases.append(Factors(rng.standard_normal((m, d)), rng.standard_normal((n, d))))
+    U = rng.standard_normal((7, 2))
+    cases.append(Factors(np.hstack([U, U]), rng.standard_normal((5, 4))))
+    cases.append(Factors(np.zeros((6, 3)), rng.standard_normal((4, 3))))
+    cases.append(Factors(np.zeros((2, 5)), np.zeros((3, 5))))
+    for F in cases:
+        for p in (0.3, 0.7, 1.0):
+            total = variational_sum(F, p)
+            dense = total - schatten_p_power(F.matrix(), p)
+            assert abs(variational_gap(F, p) - dense) <= 1e-12 * max(total, 1.0)
+    assert variational_gap(cases[-1], 0.5) == 0.0
+
+
+def test_variational_gap_forms_no_m_by_n_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    F = Factors(rng.standard_normal((3000, 5)), rng.standard_normal((2000, 5)))
+    variational_gap(F, 0.5)  # warm up numpy's lazy allocations
+    tracemalloc.start()
+    try:
+        variational_gap(F, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 3000 x 2000 product alone takes 48 MB; the factors are 200 KB
+    assert peak < 1e6
