@@ -83,7 +83,8 @@ def _outdir(value):
 
 
 def _float_list(text):
-    return [float(t) for t in text.split(",") if t]
+    # the comma list's values, each once, in first-occurrence order
+    return list(dict.fromkeys(float(t) for t in text.split(",") if t))
 
 
 def _fmt(x):
@@ -266,7 +267,7 @@ def _parse_init_ranks(tokens, true_rank, parser):
             ranks.append(int(tok))
     if not ranks:
         parser.error("no init ranks given")
-    return ranks
+    return list(dict.fromkeys(ranks))
 
 
 def _load_input(args):

@@ -4,7 +4,9 @@ Synthetic instances follow the usual completion benchmark recipe: a rank-r
 product of i.i.d. Gaussian factors, additive Gaussian noise at a target
 SNR, and a uniformly sampled observation set. SNR is defined on the full
 matrix, signal power |X|_F^2 / (m n). Three independent seeded streams
-(factors, noise, mask) keep instances reproducible bit for bit.
+(factors, noise, mask) keep instances reproducible bit for bit. The
+held-out set is the complement of the drawn mask, and no dense noisy
+matrix is formed: noise is added to the observed entries only.
 """
 
 import math
@@ -35,8 +37,9 @@ class SynthSpec:
 
 @dataclass
 class GroundTruth:
-    """A generated instance: the clean matrix, the noisy observed triplets,
-    and the held-out index set (rows, cols) covering the unobserved part."""
+    """A generated instance: the clean matrix, the noisy observed triplets
+    and the held-out (rows, cols), the complement of the drawn mask. Only
+    the observed entries are noisy; no dense noisy matrix is built."""
 
     x_true: np.ndarray
     y_obs: ObservedMatrix
@@ -54,23 +57,19 @@ def gen_synthetic(spec):
     rng_fact, rng_noise, rng_mask = (np.random.default_rng(s) for s in ss.spawn(3))
     m, n, r = spec.m, spec.n, spec.rank
 
-    A = rng_fact.standard_normal((m, r))
-    B = rng_fact.standard_normal((n, r))
-    x_true = A @ B.T
-
-    y_full = x_true
+    x_true = rng_fact.standard_normal((m, r)) @ rng_fact.standard_normal((n, r)).T
+    k = int(round((1.0 - spec.missing_rate) * m * n))
+    observed = np.zeros((m, n), dtype=bool)
+    observed.ravel()[rng_mask.permutation(m * n)[:k]] = True
+    rows, cols = np.nonzero(observed)
+    obs_lin = rows * n + cols
+    val = x_true.take(obs_lin)
     if math.isfinite(spec.snr_db):
         sig_power = np.sum(x_true * x_true)
         noise_var = sig_power / (m * n * 10.0 ** (spec.snr_db / 10.0))
-        y_full = x_true + np.sqrt(noise_var) * rng_noise.standard_normal((m, n))
-
-    k = int(round((1.0 - spec.missing_rate) * m * n))
-    observed = np.zeros(m * n, dtype=bool)
-    observed[rng_mask.permutation(m * n)[:k]] = True
-    obs_lin = np.flatnonzero(observed)
-    test_lin = np.flatnonzero(~observed)
-    y_obs = ObservedMatrix(m, n, *np.divmod(obs_lin, n), y_full.ravel()[obs_lin])
-    return GroundTruth(x_true, y_obs, np.divmod(test_lin, n))
+        val += np.sqrt(noise_var) * rng_noise.standard_normal((m, n)).take(obs_lin)
+    # nonzero, not divmod of flat indices: no third held-out-sized array at the peak
+    return GroundTruth(x_true, ObservedMatrix(m, n, rows, cols, val), np.nonzero(~observed))
 
 
 def _fields(path, lineno, line, types, expected, sep=None):
@@ -146,11 +145,11 @@ def relative_error(F, x_true, test_mask):
         raise ValueError(
             f"estimate shape {X_hat.shape} does not match reference shape {x_true.shape}"
         )
-    den = np.linalg.norm(x_true[rows, cols])
+    truth = x_true[rows, cols]
+    den = np.linalg.norm(truth)
     if den == 0.0:
         raise ValueError("held-out entries of the reference matrix are all zero")
-    num = np.linalg.norm(X_hat[rows, cols] - x_true[rows, cols])
-    return float(num / den)
+    return float(np.linalg.norm(X_hat[rows, cols] - truth) / den)
 
 
 def nmae(F, test, r_min, r_max):

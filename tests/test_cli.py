@@ -289,6 +289,35 @@ def test_bench_ptrend_counting(tmp_path):
     assert len(summary[1].split(",")) == 5
 
 
+def test_complete_solves_each_repeated_grid_value_once(tmp_path):
+    fixture = make_fixture(tmp_path)
+    texts = []
+    for lam, init_rank in (("1.0,1.0", "3,3"), ("1.0", "3")):
+        csv_path = tmp_path / f"runs_{len(texts)}.csv"
+        argv = ["complete", "--input", str(fixture), "--p", "0.5", "--lam", lam,
+                "--init-rank", init_rank, "--out", str(csv_path), "--no-timing"]
+        assert run_cli(argv) == 0
+        texts.append(csv_path.read_text())
+    assert len(texts[0].splitlines()) == 1 + 1
+    assert texts[0] == texts[1]
+    # values repeat as numbers, not as tokens; the first occurrence keeps its place
+    assert _float_list("2,1.0,2.0,1,,3") == [2.0, 1.0, 3.0]
+
+
+def test_bench_ptrend_solves_each_repeated_lambda_once(tmp_path):
+    outputs = []
+    for lams in ("0.5,2.0,0.5", "0.5,2.0"):
+        out_dir = tmp_path / lams
+        argv = ["bench", "ptrend", "--m", "20", "--n", "18", "--rank", "2", "--seeds", "1",
+                "--lams", lams, "--init-rank", "3", "--max-iter", "60",
+                "--out-dir", str(out_dir), "--no-timing"]
+        assert run_cli(argv) == 0
+        outputs.append([(out_dir / f"ptrend_{kind}.csv").read_text()
+                        for kind in ("runs", "summary")])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 1 + 4 * 2
+
+
 def test_bench_movielens_requires_data(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli(["bench", "movielens", "--out-dir", str(tmp_path)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,20 +38,43 @@ def test_gen_reproducible_bitwise():
 
 def test_gen_mask_matches_sorted_permutation_recipe():
     # the observed and held-out index sets equal the sorted halves of the
-    # seeded permutation, bit for bit (noiseless, so values are x_true's)
-    spec = SynthSpec(23, 17, 3, float("inf"), 0.7, 5)
-    g = gen_synthetic(spec)
-    rng_mask = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[2])
-    k = int(round((1.0 - spec.missing_rate) * spec.m * spec.n))
-    perm = rng_mask.permutation(spec.m * spec.n)
-    obs_lin, test_lin = np.sort(perm[:k]), np.sort(perm[k:])
-    assert np.array_equal(g.y_obs.row, obs_lin // spec.n)
-    assert np.array_equal(g.y_obs.col, obs_lin % spec.n)
-    assert np.array_equal(g.y_obs.val, g.x_true.ravel()[obs_lin])
-    rows, cols = g.test_mask
-    assert rows.dtype == cols.dtype == np.int64
-    assert np.array_equal(rows, test_lin // spec.n)
-    assert np.array_equal(cols, test_lin % spec.n)
+    # seeded permutation, and the values are those of the dense noisy
+    # matrix x_true + sqrt(noise_var) Z, bit for bit (noiseless and noisy)
+    for snr_db in (float("inf"), 10.0):
+        spec = SynthSpec(23, 17, 3, snr_db, 0.7, 5)
+        g = gen_synthetic(spec)
+        _, rng_noise, rng_mask = map(
+            np.random.default_rng, np.random.SeedSequence(spec.seed).spawn(3)
+        )
+        k = int(round((1.0 - spec.missing_rate) * spec.m * spec.n))
+        perm = rng_mask.permutation(spec.m * spec.n)
+        obs_lin, test_lin = np.sort(perm[:k]), np.sort(perm[k:])
+        assert np.array_equal(g.y_obs.row, obs_lin // spec.n)
+        assert np.array_equal(g.y_obs.col, obs_lin % spec.n)
+        y_full = g.x_true
+        if snr_db != float("inf"):
+            signal = np.sum(g.x_true * g.x_true)
+            noise_var = signal / (spec.m * spec.n * 10.0 ** (snr_db / 10.0))
+            Z = rng_noise.standard_normal((spec.m, spec.n))
+            y_full = g.x_true + np.sqrt(noise_var) * Z
+        assert g.y_obs.val.tobytes() == y_full.ravel()[obs_lin].tobytes()
+        rows, cols = g.test_mask
+        assert rows.dtype == cols.dtype == np.int64
+        assert np.array_equal(rows, test_lin // spec.n)
+        assert np.array_equal(cols, test_lin % spec.n)
+
+
+def test_gen_peak_memory_is_bounded():
+    # x_true and the held-out index pair alone take about 3 m n doubles at
+    # 95% missing; a dense noisy copy of x_true on top exceeds the bound
+    spec = SynthSpec(1200, 1000, 5, 10.0, 0.95, 3)
+    tracemalloc.start()
+    try:
+        gen_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * spec.m * spec.n * 8
 
 
 def test_gen_rank_is_exact():
