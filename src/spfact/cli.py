@@ -83,8 +83,12 @@ def _outdir(value):
 
 
 def _float_list(text):
-    # the comma list's values, each once, in first-occurrence order
-    return list(dict.fromkeys(float(t) for t in text.split(",") if t))
+    # argparse type of a comma list: its values, each once, in
+    # first-occurrence order; a list with no value is a usage error
+    values = list(dict.fromkeys(float(t) for t in text.split(",") if t))
+    if not values:
+        raise argparse.ArgumentTypeError("no values given")
+    return values
 
 
 def _fmt(x):
@@ -214,7 +218,7 @@ def _ratings(obs, args):
 def _fixture(spec, obs, truth):
     """(instance, true_rank) of a loaded fixture, scored by RE when it has truth."""
     true_rank = spec.rank if spec else 0
-    if truth is not None and not truth.test_mask[0].size:
+    if truth is not None and not truth.test_mask.any():
         truth = None  # fully observed: no held-out entries to score
     inst = (obs, _observed_meta(obs, true_rank), _score(truth=truth))
     return (lambda seed: inst), true_rank
@@ -284,8 +288,8 @@ def cmd_complete(args, parser):
     grid = sorted(
         (ir, p, lam, esc, seed)
         for ir in _parse_init_ranks(args.init_rank, true_rank, parser)
-        for p in _float_list(args.p)
-        for lam in _float_list(args.lam)
+        for p in args.p
+        for lam in args.lam
         for esc in escape_modes
         for seed in range(args.seeds)
     )
@@ -307,12 +311,11 @@ def _median(runs, field, **match):
 
 
 def _table1(args):
-    ps = _float_list(args.p)
     init_ranks = [max(1, round(mult * args.rank)) for mult in TABLE1_MULTIPLIERS]
     grid = [
         (ir, p, args.lam, esc, seed)
         for ir in init_ranks
-        for p in ps
+        for p in args.p
         for esc in (True, False)
         for seed in range(args.seeds)
     ]
@@ -320,7 +323,7 @@ def _table1(args):
 
     # summary axes: one row per initial-rank multiplier, one column pair
     # (median RE, median rank) per escape-mode x p combination
-    combos = [(p, esc) for p in ps for esc in ("on", "off")]
+    combos = [(p, esc) for p in args.p for esc in ("on", "off")]
     header = [f"re_p{p:g}_esc_{esc},rank_p{p:g}_esc_{esc}" for p, esc in combos]
     summary = [",".join(["init_mult"] + header)]
     for mult, ir in zip(TABLE1_MULTIPLIERS, init_ranks):
@@ -333,8 +336,7 @@ def _table1(args):
 
 
 def _ptrend(args):
-    ps = _float_list(args.p)
-    lams = _float_list(args.lams) or list(PTREND_LAMS)  # --lams '' keeps the sweep
+    ps, lams = args.p, args.lams
     ir = args.init_rank if args.init_rank else round(1.5 * args.rank)
     grid = [
         (ir, p, lam, True, seed) for p in ps for lam in lams for seed in range(args.seeds)
@@ -356,9 +358,8 @@ def _ptrend(args):
 
 
 def _movielens(args):
-    p = _float_list(args.p)[0]
     grid = [
-        (ir, p, args.lam, True, seed)
+        (ir, args.p, args.lam, True, seed)
         for ir in MOVIELENS_INIT_RANKS
         for seed in range(args.seeds)
     ]
@@ -485,7 +486,7 @@ def _add_geometry_flags(sp, rank, missing, snr, p):
     sp.add_argument("--rank", type=int, default=rank)
     sp.add_argument("--missing", type=float, default=missing)
     sp.add_argument("--snr", type=float, default=snr)
-    sp.add_argument("--p", default=p, help="comma-separated exponents")
+    sp.add_argument("--p", type=_float_list, default=p, help="comma-separated exponents")
 
 
 def build_parser():
@@ -511,8 +512,10 @@ def build_parser():
 
     sp = sub.add_parser("complete", help="run the solver over a parameter grid")
     sp.add_argument("--input", required=True, help="fixture file or MovieLens ratings file")
-    sp.add_argument("--p", default="0.5", help="comma-separated exponents")
-    sp.add_argument("--lam", default="1.0", help="comma-separated regularization weights")
+    sp.add_argument("--p", type=_float_list, default="0.5", help="comma-separated exponents")
+    sp.add_argument(
+        "--lam", type=_float_list, default="1.0", help="comma-separated regularization weights"
+    )
     sp.add_argument(
         "--init-rank",
         default="10",
@@ -535,13 +538,14 @@ def build_parser():
     _add_geometry_flags(ptrend, rank=20, missing=0.5, snr=8.0, p="0.3,0.5,0.7,1.0")
     ptrend.add_argument(
         "--lams",
+        type=_float_list,
         default=",".join(map(repr, PTREND_LAMS)),
         help="comma-separated lambda sweep",
     )
     ptrend.add_argument("--init-rank", type=int, default=None, help="default 1.5x rank")
     movielens = suites.add_parser("movielens", allow_abbrev=False)
     movielens.add_argument("--data", required=True, help="ratings file path")
-    movielens.add_argument("--p", default="0.5", help="exponent")
+    movielens.add_argument("--p", type=float, default=0.5, help="exponent")
     movielens.add_argument("--lam", type=float, default=MOVIELENS_LAM)
     _add_ratings_flags(movielens)
     for suite in (table1, ptrend, movielens):

@@ -5,8 +5,8 @@ product of i.i.d. Gaussian factors, additive Gaussian noise at a target
 SNR, and a uniformly sampled observation set. SNR is defined on the full
 matrix, signal power |X|_F^2 / (m n). Three independent seeded streams
 (factors, noise, mask) keep instances reproducible bit for bit. The
-held-out set is the complement of the drawn mask, and no dense noisy
-matrix is formed: noise is added to the observed entries only.
+held-out set is the m x n bool complement of the drawn mask, and no dense
+noisy matrix is formed: noise is added to the observed entries only.
 """
 
 import math
@@ -33,17 +33,19 @@ class SynthSpec:
             raise ValueError("rank must lie in [1, min(m, n)]")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must be a number of dB or inf (noiseless)")
 
 
 @dataclass
 class GroundTruth:
     """A generated instance: the clean matrix, the noisy observed triplets
-    and the held-out (rows, cols), the complement of the drawn mask. Only
-    the observed entries are noisy; no dense noisy matrix is built."""
+    and test_mask, the m x n bool complement of the drawn mask, True on the
+    held-out entries. Only the observed entries are noisy."""
 
     x_true: np.ndarray
     y_obs: ObservedMatrix
-    test_mask: tuple
+    test_mask: np.ndarray
 
 
 def gen_synthetic(spec):
@@ -62,14 +64,12 @@ def gen_synthetic(spec):
     observed = np.zeros((m, n), dtype=bool)
     observed.ravel()[rng_mask.permutation(m * n)[:k]] = True
     rows, cols = np.nonzero(observed)
-    obs_lin = rows * n + cols
-    val = x_true.take(obs_lin)
+    val = x_true[observed]
     if math.isfinite(spec.snr_db):
         sig_power = np.sum(x_true * x_true)
         noise_var = sig_power / (m * n * 10.0 ** (spec.snr_db / 10.0))
-        val += np.sqrt(noise_var) * rng_noise.standard_normal((m, n)).take(obs_lin)
-    # nonzero, not divmod of flat indices: no third held-out-sized array at the peak
-    return GroundTruth(x_true, ObservedMatrix(m, n, rows, cols, val), np.nonzero(~observed))
+        val += np.sqrt(noise_var) * rng_noise.standard_normal((m, n))[observed]
+    return GroundTruth(x_true, ObservedMatrix(m, n, rows, cols, val), ~observed)
 
 
 def _fields(path, lineno, line, types, expected, sep=None):
@@ -134,22 +134,22 @@ def _estimate(X_hat):
 
 
 def relative_error(F, x_true, test_mask):
-    """Recovery error |X_hat - X_true|_F / |X_true|_F over held-out entries."""
-    rows, cols = test_mask
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.size == 0:
+    """Recovery error |X_hat - X_true|_F / |X_true|_F over the held-out
+    entries, those where test_mask, a bool array of x_true's shape, is True."""
+    if getattr(test_mask, "dtype", None) != bool or test_mask.shape != x_true.shape:
+        raise ValueError(f"test mask must be a bool array of shape {x_true.shape}")
+    if not test_mask.any():
         raise ValueError("test mask is empty")
     X_hat = _estimate(F)
     if X_hat.shape != x_true.shape:
         raise ValueError(
             f"estimate shape {X_hat.shape} does not match reference shape {x_true.shape}"
         )
-    truth = x_true[rows, cols]
+    truth = x_true[test_mask]
     den = np.linalg.norm(truth)
     if den == 0.0:
         raise ValueError("held-out entries of the reference matrix are all zero")
-    return float(np.linalg.norm(X_hat[rows, cols] - truth) / den)
+    return float(np.linalg.norm(X_hat[test_mask] - truth) / den)
 
 
 def nmae(F, test, r_min, r_max):

@@ -49,16 +49,16 @@ class SolverConfig:
 
     def __post_init__(self):
         check_p(self.p)
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must lie in [0, inf), got {self.lam}")
         if self.init_width < 1:
             raise ValueError("init_width must be at least 1")
-        if self.prune_thres <= 0:
-            raise ValueError("prune_thres must be positive")
+        if not 0 < self.prune_thres < np.inf:
+            raise ValueError(f"prune_thres must lie in (0, inf), got {self.prune_thres}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be positive")
+        if not 0 < self.conv_tol < np.inf:
+            raise ValueError(f"conv_tol must lie in (0, inf), got {self.conv_tol}")
         if self.escape_check_max is not None and self.escape_check_max < 0:
             raise ValueError("escape_check_max must be nonnegative")
 

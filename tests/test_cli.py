@@ -71,7 +71,9 @@ def test_synth_usage_errors(tmp_path):
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("bad", [["--rank", "5"], ["--m", "0"], ["--missing", "-0.1"]])
+@pytest.mark.parametrize(
+    "bad", [["--rank", "5"], ["--m", "0"], ["--missing", "-0.1"], ["--snr", "nan"]]
+)
 def test_synth_rejects_a_bad_spec_as_usage_error(bad):
     # the instance's own range checks are usage errors, as --missing 1.0 is
     with pytest.raises(SystemExit) as e:
@@ -318,6 +320,42 @@ def test_bench_ptrend_solves_each_repeated_lambda_once(tmp_path):
     assert len(outputs[0][0].splitlines()) == 1 + 4 * 2
 
 
+def test_bench_movielens_takes_one_p(tmp_path):
+    # a list would otherwise solve only its first value and exit 0
+    ratings = write_ratings(tmp_path / "u.data")
+    with pytest.raises(SystemExit) as e:
+        run_cli(["bench", "movielens", "--data", str(ratings), "--p", "0.3,0.9",
+                 "--out-dir", str(tmp_path)])
+    assert e.value.code == 2
+    assert not list(tmp_path.glob("movielens_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["complete", "--input", "{fixture}", "--lam", ""], "--lam"),
+        (["complete", "--input", "{fixture}", "--lam", ","], "--lam"),
+        (["complete", "--input", "{fixture}", "--p", ""], "--p"),
+        (["bench", "table1", "--p", ""], "--p"),
+        (["bench", "ptrend", "--lams", ""], "--lams"),
+        (["bench", "ptrend", "--lams", ",,"], "--lams"),
+    ],
+)
+def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, argv, flag):
+    fixture = make_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    argv = [a.format(fixture=fixture) for a in argv]
+    if argv[0] == "bench":  # a tiny suite, so a list taken as valid fails fast
+        argv += ["--m", "8", "--n", "7", "--rank", "1", "--seeds", "1", "--out-dir"]
+    else:
+        argv += ["--out"]
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv + [str(out_dir), "--max-iter", "3", "--no-timing"])
+    assert e.value.code == 2
+    assert f"argument {flag}: no values given" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bench_movielens_requires_data(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli(["bench", "movielens", "--out-dir", str(tmp_path)])
@@ -409,7 +447,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 def test_config_value_typed_by_the_chosen_command(tmp_path):
     # bench table1 types --lam as a float and bench ptrend --init-rank as an
-    # int; complete takes both as comma-separated strings
+    # int; complete takes both as comma lists
     fixture = make_fixture(tmp_path)
     cfg_file = tmp_path / "spfact.conf"
     cfg_file.write_text("lam = 0.5,1.0\ninit-rank = 0.5x\nmax-iter = 5\nno-timing = true\n")
@@ -421,7 +459,7 @@ def test_config_value_typed_by_the_chosen_command(tmp_path):
     rows = read_csv(csv_path)
     assert [(r["lambda"], r["init_rank"]) for r in rows] == [("0.5", "1"), ("1.0", "1")]
     _, a = parse_args(["--config", str(cfg_file), "complete", "--input", "x"])
-    assert (a.lam, a.init_rank, a.max_iter, a.no_timing) == ("0.5,1.0", "0.5x", 5, True)
+    assert (a.lam, a.init_rank, a.max_iter, a.no_timing) == ([0.5, 1.0], "0.5x", 5, True)
     # the same values are still invalid for the commands that type them
     for argv in (["bench", "table1"], ["bench", "ptrend"]):
         with pytest.raises(SystemExit) as e:
@@ -541,16 +579,16 @@ def test_grid_order(tmp_path, case):
 def test_bench_suite_defaults():
     _, a = parse_args(["bench", "table1"])
     assert (a.m, a.n, a.rank, a.missing, a.snr, a.p, a.lam, a.seeds) == (
-        200, 200, 10, 0.4, 10.0, "0.5,0.3", TABLE1_LAM, 5,
+        200, 200, 10, 0.4, 10.0, [0.5, 0.3], TABLE1_LAM, 5,
     )
     _, a = parse_args(["bench", "ptrend"])
     assert (a.m, a.n, a.rank, a.missing, a.snr, a.p, a.init_rank, a.seeds) == (
-        200, 200, 20, 0.5, 8.0, "0.3,0.5,0.7,1.0", None, 5,
+        200, 200, 20, 0.5, 8.0, [0.3, 0.5, 0.7, 1.0], None, 5,
     )
-    assert tuple(_float_list(a.lams)) == PTREND_LAMS
+    assert tuple(a.lams) == PTREND_LAMS
     _, a = parse_args(["bench", "movielens", "--data", "u.data"])
     assert (a.data, a.p, a.lam, a.train_frac, a.rmin, a.rmax, a.seeds) == (
-        "u.data", "0.5", MOVIELENS_LAM, 0.5, 1.0, 5.0, 5,
+        "u.data", 0.5, MOVIELENS_LAM, 0.5, 1.0, 5.0, 5,
     )
     assert (TABLE1_LAM, MOVIELENS_LAM) == (100.0, 15.0)
     assert PTREND_LAMS == (12.5, 50.0, 200.0, 800.0, 3200.0)
@@ -564,7 +602,7 @@ def test_bench_config_then_flag_precedence(tmp_path):
     _, a = parse_args(config + ["bench", "table1"])
     assert (a.rank, a.lam, a.missing) == (3, 7.0, 0.4)
     _, a = parse_args(config + ["bench", "ptrend"])
-    assert (a.rank, a.lams, a.snr) == (3, "1,2", 8.0)
+    assert (a.rank, a.lams, a.snr) == (3, [1.0, 2.0], 8.0)
     # and supplies a required flag
     _, a = parse_args(config + ["bench", "movielens"])
     assert (a.data, a.lam) == ("u.data", 7.0)

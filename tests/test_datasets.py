@@ -25,6 +25,10 @@ def test_synth_spec_validation():
         SynthSpec(10, 10, 2, 10.0, 1.0, 0)
     with pytest.raises(ValueError):
         SynthSpec(0, 10, 1, 10.0, 0.2, 0)
+    # NaN is no SNR; inf is the noiseless sentinel and stays accepted
+    with pytest.raises(ValueError, match="snr_db"):
+        SynthSpec(10, 10, 2, float("nan"), 0.2, 0)
+    assert SynthSpec(10, 10, 2, float("inf"), 0.2, 0).snr_db == float("inf")
 
 
 def test_gen_reproducible_bitwise():
@@ -33,7 +37,7 @@ def test_gen_reproducible_bitwise():
     b = gen_synthetic(spec)
     assert np.array_equal(a.x_true, b.x_true)
     assert np.array_equal(a.y_obs.val, b.y_obs.val)
-    assert np.array_equal(a.test_mask[0], b.test_mask[0])
+    assert np.array_equal(a.test_mask, b.test_mask)
 
 
 def test_gen_mask_matches_sorted_permutation_recipe():
@@ -58,15 +62,15 @@ def test_gen_mask_matches_sorted_permutation_recipe():
             Z = rng_noise.standard_normal((spec.m, spec.n))
             y_full = g.x_true + np.sqrt(noise_var) * Z
         assert g.y_obs.val.tobytes() == y_full.ravel()[obs_lin].tobytes()
-        rows, cols = g.test_mask
-        assert rows.dtype == cols.dtype == np.int64
-        assert np.array_equal(rows, test_lin // spec.n)
-        assert np.array_equal(cols, test_lin % spec.n)
+        assert g.test_mask.dtype == bool
+        assert g.test_mask.shape == (spec.m, spec.n)
+        assert np.array_equal(np.flatnonzero(g.test_mask), test_lin)
 
 
 def test_gen_peak_memory_is_bounded():
-    # x_true and the held-out index pair alone take about 3 m n doubles at
-    # 95% missing; a dense noisy copy of x_true on top exceeds the bound
+    # x_true and the noise draw take 2 m n doubles and the masks m n / 4;
+    # a held-out index pair (about 2 m n doubles at 95% missing) or a dense
+    # noisy copy of x_true on top exceeds the bound
     spec = SynthSpec(1200, 1000, 5, 10.0, 0.95, 3)
     tracemalloc.start()
     try:
@@ -74,7 +78,7 @@ def test_gen_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * spec.m * spec.n * 8
+    assert peak <= 3 * spec.m * spec.n * 8
 
 
 def test_gen_rank_is_exact():
@@ -86,7 +90,7 @@ def test_gen_rank_is_exact():
 def test_gen_full_observation():
     gt = gen_synthetic(SynthSpec(8, 9, 2, 10.0, 0.0, 2))
     assert gt.y_obs.nnz == 72
-    assert gt.test_mask[0].size == 0
+    assert not gt.test_mask.any()
 
 
 def test_gen_noiseless_sentinel():
@@ -112,7 +116,7 @@ def test_gen_observed_count():
     assert gt.y_obs.nnz == round(0.63 * 100)
     # observed and held-out partition the grid
     lin_obs = gt.y_obs.row * 10 + gt.y_obs.col
-    lin_test = gt.test_mask[0] * 10 + gt.test_mask[1]
+    lin_test = np.flatnonzero(gt.test_mask)
     assert np.array_equal(np.sort(np.concatenate([lin_obs, lin_test])), np.arange(100))
 
 
@@ -171,13 +175,14 @@ def test_split_even_and_deterministic():
 def test_relative_error_trivial_cases():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, 5))
-    mask = (np.array([0, 1, 2]), np.array([4, 3, 2]))
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[[0, 1, 2], [4, 3, 2]] = True
     Fb = balanced_factorization(X, 5)
     assert relative_error(Fb, X, mask) <= 1e-9
     assert relative_error(np.zeros_like(X), X, mask) == pytest.approx(1.0)
     assert relative_error(2.0 * X, X, mask) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="empty"):
-        relative_error(X, X, (np.array([]), np.array([])))
+        relative_error(X, X, np.zeros(X.shape, dtype=bool))
     with pytest.raises(ValueError, match="zero"):
         relative_error(X, np.zeros_like(X), mask)
 
@@ -186,8 +191,49 @@ def test_relative_error_rejects_wrong_shape():
     rng = np.random.default_rng(0)
     F = Factors(rng.standard_normal((5, 2)), rng.standard_normal((3, 2)))
     X = rng.standard_normal((3, 3))
-    with pytest.raises(ValueError, match="shape"):
-        relative_error(F, X, (np.array([0, 1, 2]), np.array([2, 1, 0])))
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[[0, 1, 2], [2, 1, 0]] = True
+    with pytest.raises(ValueError, match="estimate shape"):
+        relative_error(F, X, mask)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        (np.array([0, 1, 2]), np.array([2, 1, 0])),  # an index pair
+        np.eye(3, dtype=np.int64),  # 0/1 of the right shape, not bool
+        np.ones((3, 4), dtype=bool),  # bool of the wrong shape
+        np.ones(9, dtype=bool),  # bool of the right size, flat
+    ],
+)
+def test_relative_error_takes_only_a_bool_mask_of_the_reference_shape(mask):
+    X = np.random.default_rng(0).standard_normal((3, 3))
+    with pytest.raises(ValueError, match="bool array of shape"):
+        relative_error(X, X, mask)
+
+
+def test_relative_error_is_the_norm_ratio_over_the_held_out_entries():
+    # bit for bit the norm ratio gathered through np.nonzero of the mask,
+    # on random specs including 1 x n, n x 1 and rank = min(m, n)
+    rng = np.random.default_rng(0)
+    specs = [(1, 7, 1), (7, 1, 1), (9, 6, 6)]
+    for _ in range(37):
+        m, n = (int(v) for v in rng.integers(1, 30, size=2))
+        specs.append((m, n, int(rng.integers(1, min(m, n) + 1))))
+    checked = 0
+    for seed, (m, n, r) in enumerate(specs):
+        missing = float(rng.choice([0.2, 0.5, 0.9]))
+        snr = float(rng.choice([float("inf"), 10.0]))
+        gt = gen_synthetic(SynthSpec(m, n, r, snr, missing, seed))
+        if not gt.test_mask.any():
+            continue
+        X_hat = gt.x_true + rng.standard_normal((m, n))
+        rows, cols = np.nonzero(gt.test_mask)
+        truth = gt.x_true[rows, cols]
+        expected = np.linalg.norm(X_hat[rows, cols] - truth) / np.linalg.norm(truth)
+        assert relative_error(X_hat, gt.x_true, gt.test_mask) == float(expected)
+        checked += 1
+    assert checked >= 35
 
 
 def test_nmae_cases():

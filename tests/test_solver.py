@@ -63,6 +63,16 @@ def test_config_validation():
     assert SolverConfig(p=0.5, lam=1.0, init_width=4, escape_check_max=9).escape_budget == 9
 
 
+@pytest.mark.parametrize("field", ["lam", "prune_thres", "conv_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_values(field, value):
+    # a NaN tolerance or threshold would pass every comparison silently,
+    # and a NaN or infinite lam would fail deep in the sweep
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{"p": 0.5, "lam": 1.0, "init_width": 2, field: value})
+    assert SolverConfig(p=0.5, lam=0.0, init_width=2).lam == 0.0
+
+
 def test_objective_hand_cases():
     Y, F, cfg = one_by_one()
     assert objective(Y, F, cfg) == pytest.approx(3.0)
