@@ -6,12 +6,15 @@ Subcommands
     bench           predefined seeded suites: table1, ptrend, movielens
     movielens-prep  validate/summarize a ratings file, optionally split it
 
-Runs are emitted as CSV with a fixed column order (see CSV_COLUMNS), one
-row per configuration, plus an optional JSON mirror that also carries
-each run's stop reason and error message. bench also writes its suite's
-summary CSV and prints the same text to stdout. Output is deterministic
-for fixed inputs and seeds; wall_ms is the one exception unless
---no-timing zeroes it.
+complete and each suite name only the axes of their grid; _run_grid
+builds the cells, checks every one before the first solve (a rejected
+value is a usage error, exit 2) and runs them with seeds innermost.
+complete sorts each axis, the suites keep flag order. Runs are emitted as
+CSV with a fixed column order (see CSV_COLUMNS), one row per cell, plus a
+JSON mirror (complete --json; bench always) that also carries each run's
+stop reason and error. bench also writes its summary CSV and prints it.
+Output is deterministic for fixed inputs and seeds; wall_ms is the one
+exception unless --no-timing zeroes it.
 
 A 'key = value' config file (--config) supplies flag defaults; explicit
 flags win. The SPFACT_OUTDIR environment variable sets the default
@@ -19,6 +22,7 @@ output directory.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -125,12 +129,22 @@ def _report_failures(runs):
     return 1 if failed else 0
 
 
-def _run_one(suite, y_train, cfg, meta, no_timing, score):
-    """Solve one configuration and assemble a full RunRecord row.
+def _checked(parser, make, *args):
+    """make(*args), with a ValueError it raises reported as a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    The row starts from FAILED_RUN; a run that solves and scores
-    overwrites each of its values.
+
+def _run_one(suite, cfg, instance, args):
+    """Solve cfg on instance(cfg.seed) into a full RunRecord row.
+
+    The row starts from FAILED_RUN; a run that solves and scores overwrites
+    each value. RE is taken over truth's held-out entries, NMAE over the
+    test ratings on the [rmin, rmax] scale; with nothing to score it is NaN.
     """
+    y_train, meta, truth, test = instance(cfg.seed)
     escape = "on" if cfg.escape_enabled else "off"
     row = dict(meta, suite=suite, p=cfg.p, init_rank=cfg.init_width, escape=escape)
     row.update({"seed": cfg.seed, "lambda": cfg.lam}, **FAILED_RUN)
@@ -143,47 +157,39 @@ def _run_one(suite, y_train, cfg, meta, no_timing, score):
             escapes=report.escapes,
             final_rank=report.final_width,
             objective=float(report.objective_trace[-1]),
-            **score(F),
+            re=relative_error(F, truth.x_true, truth.test_mask) if truth else math.nan,
+            nmae=nmae(F, test, args.rmin, args.rmax) if test else math.nan,
             stop_reason=report.stop_reason,
             converged=bool(report.converged),
         )
     except Exception as exc:  # noqa: BLE001 - finish the remaining runs
         error = f"{type(exc).__name__}: {exc}"
-    row["wall_ms"] = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
+    row["wall_ms"] = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
     return row, error
 
 
-def _run_grid(suite, instance, grid, args):
-    """Solve each (init_rank, p, lam, escape_on, seed) cell, in grid order.
-
-    instance(seed) returns (y_train, meta, score) for that seed.
+def _run_grid(suite, instance, args, parser, init_ranks, ps, lams, escapes):
+    """Solve each (init_rank, p, lam, escape_on, seed) cell of the axes'
+    product, seeds innermost; instance(seed) returns (y_train, meta, truth,
+    test). Every cell's SolverConfig and instance(0) are built before the
+    first solve, so a value either rejects is a usage error (exit 2).
     """
-    runs = []
-    for init_rank, p, lam, escape_on, seed in grid:
-        y_train, meta, score = instance(seed)
-        cfg = SolverConfig(
-            p=p, lam=lam, init_width=init_rank, escape_enabled=escape_on, seed=seed,
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    configs = []
+    seeds = range(args.seeds)
+    for ir, p, lam, esc, seed in itertools.product(init_ranks, ps, lams, escapes, seeds):
+        kw = dict(
+            p=p, lam=lam, init_width=ir, escape_enabled=esc, seed=seed,
             prune_thres=args.prune_thres, max_iter=args.max_iter, conv_tol=args.conv_tol,
             escape_check_max=args.escape_budget,
         )
-        runs.append(_run_one(suite, y_train, cfg, meta, args.no_timing, score))
-    return runs
-
-
-def _score(truth=None, test=None, args=None):
-    """score(F) -> {"re", "nmae"}; a metric with nothing to score is NaN.
-
-    RE is taken over truth's held-out entries, NMAE over the test ratings
-    on the [args.rmin, args.rmax] scale.
-    """
-
-    def score(F):
-        return dict(
-            re=relative_error(F, truth.x_true, truth.test_mask) if truth else math.nan,
-            nmae=nmae(F, test, args.rmin, args.rmax) if test else math.nan,
-        )
-
-    return score
+        try:
+            configs.append(SolverConfig(**kw))
+        except ValueError as exc:
+            parser.error(f"{exc} (" + ", ".join(f"{k}={v}" for k, v in kw.items()) + ")")
+    _checked(parser, instance, 0)
+    return [_run_one(suite, cfg, instance, args) for cfg in configs]
 
 
 def _synthetic(args):
@@ -193,9 +199,8 @@ def _synthetic(args):
     )
 
     def instance(seed):
-        spec = SynthSpec(args.m, args.n, args.rank, args.snr, args.missing, seed)
-        gt = gen_synthetic(spec)
-        return gt.y_obs, meta, _score(truth=gt)
+        gt = gen_synthetic(SynthSpec(args.m, args.n, args.rank, args.snr, args.missing, seed))
+        return gt.y_obs, meta, gt, None
 
     return instance
 
@@ -209,8 +214,10 @@ def _ratings(obs, args):
     """One train/test split of a ratings set per seed, scored by NMAE."""
 
     def instance(seed):
+        if args.rmax <= args.rmin:
+            raise ValueError(f"--rmax ({args.rmax}) must exceed --rmin ({args.rmin})")
         ms = split(obs, args.train_frac, seed)
-        return ms.train, _observed_meta(ms.train, 0), _score(test=ms.test, args=args)
+        return ms.train, _observed_meta(ms.train, 0), None, ms.test
 
     return instance
 
@@ -220,8 +227,13 @@ def _fixture(spec, obs, truth):
     true_rank = spec.rank if spec else 0
     if truth is not None and not truth.test_mask.any():
         truth = None  # fully observed: no held-out entries to score
-    inst = (obs, _observed_meta(obs, true_rank), _score(truth=truth))
+    inst = (obs, _observed_meta(obs, true_rank), truth, None)
     return (lambda seed: inst), true_rank
+
+
+def _init_width(mult, rank):
+    # the one init-width rule: --init-rank Nx, table1's rows, ptrend's default
+    return max(1, round(mult * rank))
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +242,7 @@ def _fixture(spec, obs, truth):
 
 def cmd_synth(args, parser):
     snr = math.inf if args.snr is None else args.snr
-    try:
-        spec = SynthSpec(args.m, args.n, args.rank, snr, args.missing, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = _checked(parser, SynthSpec, args.m, args.n, args.rank, snr, args.missing, args.seed)
     gt = gen_synthetic(spec)
     out = args.out
     if out is None:
@@ -255,23 +264,25 @@ def cmd_synth(args, parser):
 # complete
 
 
-def _parse_init_ranks(tokens, true_rank, parser):
-    ranks = []
-    for tok in tokens.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.endswith("x"):
-            if true_rank < 1:
-                parser.error(
-                    f"init rank {tok!r} is a multiplier but the input has no known rank"
-                )
-            ranks.append(max(1, round(float(tok[:-1]) * true_rank)))
-        else:
-            ranks.append(int(tok))
+def _parse_init_ranks(text, true_rank, parser):
+    """The widths of --init-rank, sorted, each once; 'Nx' is N x the true rank."""
+    ranks = set()
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            if not tok.endswith("x"):
+                ranks.add(int(tok))
+                continue
+            mult = float(tok[:-1])
+        except ValueError:
+            parser.error(f"init rank {tok!r} is neither a width nor a multiplier like '0.5x'")
+        if true_rank < 1:
+            parser.error(f"init rank {tok!r} is a multiplier but the input has no known rank")
+        if not 0 < mult < math.inf:
+            parser.error(f"init rank {tok!r}: a multiplier must be positive and finite")
+        ranks.add(_init_width(mult, true_rank))
     if not ranks:
         parser.error("no init ranks given")
-    return list(dict.fromkeys(ranks))
+    return sorted(ranks)
 
 
 def _load_input(args):
@@ -284,16 +295,12 @@ def _load_input(args):
 
 def cmd_complete(args, parser):
     instance, true_rank = _load_input(args)
-    escape_modes = {"on": (True,), "off": (False,), "both": (True, False)}[args.escape]
-    grid = sorted(
-        (ir, p, lam, esc, seed)
-        for ir in _parse_init_ranks(args.init_rank, true_rank, parser)
-        for p in args.p
-        for lam in args.lam
-        for esc in escape_modes
-        for seed in range(args.seeds)
+    init_ranks = _parse_init_ranks(args.init_rank, true_rank, parser)
+    escapes = {"on": (True,), "off": (False,), "both": (False, True)}[args.escape]
+    runs = _run_grid(
+        "complete", instance, args, parser,
+        init_ranks, sorted(args.p), sorted(args.lam), escapes,
     )
-    runs = _run_grid("complete", instance, grid, args)
     _write_csv(args.out, runs)
     if args.json:
         _write_json(args.json, runs)
@@ -310,16 +317,11 @@ def _median(runs, field, **match):
     return float(np.median([row[field] for row in rows]))
 
 
-def _table1(args):
-    init_ranks = [max(1, round(mult * args.rank)) for mult in TABLE1_MULTIPLIERS]
-    grid = [
-        (ir, p, args.lam, esc, seed)
-        for ir in init_ranks
-        for p in args.p
-        for esc in (True, False)
-        for seed in range(args.seeds)
-    ]
-    runs = _run_grid("table1", _synthetic(args), grid, args)
+def _table1(args, parser):
+    init_ranks = [_init_width(mult, args.rank) for mult in TABLE1_MULTIPLIERS]
+    runs = _run_grid(
+        "table1", _synthetic(args), args, parser, init_ranks, args.p, (args.lam,), (True, False)
+    )
 
     # summary axes: one row per initial-rank multiplier, one column pair
     # (median RE, median rank) per escape-mode x p combination
@@ -335,13 +337,10 @@ def _table1(args):
     return runs, summary
 
 
-def _ptrend(args):
+def _ptrend(args, parser):
     ps, lams = args.p, args.lams
-    ir = args.init_rank if args.init_rank else round(1.5 * args.rank)
-    grid = [
-        (ir, p, lam, True, seed) for p in ps for lam in lams for seed in range(args.seeds)
-    ]
-    runs = _run_grid("ptrend", _synthetic(args), grid, args)
+    ir = _init_width(1.5, args.rank) if args.init_rank is None else args.init_rank
+    runs = _run_grid("ptrend", _synthetic(args), args, parser, (ir,), ps, lams, (True,))
 
     # summary: one RE column per p, each taken at that p's best lambda; min
     # keeps the first lambda on ties, and a NaN median wins only when first
@@ -357,13 +356,11 @@ def _ptrend(args):
     return runs, summary
 
 
-def _movielens(args):
-    grid = [
-        (ir, args.p, args.lam, True, seed)
-        for ir in MOVIELENS_INIT_RANKS
-        for seed in range(args.seeds)
-    ]
-    runs = _run_grid("movielens", _ratings(parse_movielens(args.data), args), grid, args)
+def _movielens(args, parser):
+    instance = _ratings(parse_movielens(args.data), args)
+    runs = _run_grid(
+        "movielens", instance, args, parser, MOVIELENS_INIT_RANKS, (args.p,), (args.lam,), (True,)
+    )
     summary = ["init_rank,nmae_median"] + [
         f"{ir},{_median(runs, 'nmae', init_rank=ir)!r}" for ir in MOVIELENS_INIT_RANKS
     ]
@@ -376,8 +373,9 @@ SUITES = {"table1": _table1, "ptrend": _ptrend, "movielens": _movielens}
 def cmd_bench(args, parser):
     out_dir = _outdir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    runs, summary = SUITES[args.suite](args)
+    runs, summary = SUITES[args.suite](args, parser)
     _write_csv(os.path.join(out_dir, f"{args.suite}_runs.csv"), runs)
+    _write_json(os.path.join(out_dir, f"{args.suite}_runs.json"), runs)
     text = "\n".join(summary) + "\n"
     with open(os.path.join(out_dir, f"{args.suite}_summary.csv"), "w") as fh:
         fh.write(text)

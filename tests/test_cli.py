@@ -356,6 +356,75 @@ def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, argv, flag):
     assert not out_dir.exists()
 
 
+TINY = ["--m", "12", "--n", "10", "--rank", "2"]  # a later flag overrides these
+BAD_INPUT_CASES = {
+    # complete on a 30x20 rank-2 fixture: each grid value is checked up front
+    "p_above_one": (["complete", "--input", "{fixture}", "--p", "0.5,1.5"], "p=1.5"),
+    "init_rank_not_a_number": (["complete", "--input", "{fixture}", "--init-rank", "abc"],
+                               "'abc'"),
+    "init_rank_zero": (["complete", "--input", "{fixture}", "--init-rank", "0"],
+                       "init_width=0"),
+    "init_rank_nan_multiplier": (["complete", "--input", "{fixture}", "--init-rank", "nanx"],
+                                 "'nanx'"),
+    "init_rank_negative_multiplier": (
+        ["complete", "--input", "{fixture}", "--init-rank", "1x,-1x"], "'-1x'"),
+    "seeds_zero": (["complete", "--input", "{fixture}", "--seeds", "0"], "got 0"),
+    "seeds_negative": (["complete", "--input", "{fixture}", "--seeds", "-2"], "got -2"),
+    "escape_budget_negative": (["complete", "--input", "{fixture}", "--escape-budget", "-1"],
+                               "escape_check_max=-1"),
+    # instance inputs: the synthetic spec, the split and the rating scale
+    "table1_rank_zero": (["bench", "table1", *TINY, "--rank", "0"], "got 0"),
+    "table1_missing_one": (["bench", "table1", *TINY, "--missing", "1.0"], "got 1.0"),
+    "table1_snr_nan": (["bench", "table1", *TINY, "--snr", "nan"], "got nan"),
+    "ptrend_rank_zero": (["bench", "ptrend", *TINY, "--rank", "0"], "got 0"),
+    "ptrend_missing_one": (["bench", "ptrend", *TINY, "--missing", "1.0"], "got 1.0"),
+    "ptrend_snr_nan": (["bench", "ptrend", *TINY, "--snr", "nan"], "got nan"),
+    "ptrend_init_rank_zero": (["bench", "ptrend", *TINY, "--init-rank", "0"], "init_width=0"),
+    "movielens_train_frac": (["bench", "movielens", "--data", "{ratings}",
+                              "--train-frac", "1.5"], "got 1.5"),
+    "movielens_rating_scale": (["bench", "movielens", "--data", "{ratings}", "--rmin", "5"],
+                               "--rmin (5.0)"),
+    "complete_rating_scale": (["complete", "--input", "{ratings}", "--init-rank", "2",
+                               "--rmin", "5"], "--rmin (5.0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_input_is_a_usage_error_before_any_solve(tmp_path, monkeypatch, capsys, case):
+    argv, named = BAD_INPUT_CASES[case]
+    paths = dict(
+        fixture=make_fixture(tmp_path, m=30, n=20, rank=2),
+        ratings=write_ratings(tmp_path / "u.data"),
+    )
+    calls = []
+    monkeypatch.setattr("spfact.cli.solve", lambda *a: calls.append(a))
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "bench":
+        argv += ["--seeds", "1", "--out-dir", str(tmp_path / "out")]
+    else:
+        argv += ["--out", str(tmp_path / "runs.csv")]
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv + ["--max-iter", "5", "--no-timing"])
+    assert e.value.code == 2
+    assert named in capsys.readouterr().err.splitlines()[-1]
+    assert calls == []
+    assert not list(tmp_path.rglob("*_runs.csv")) and not (tmp_path / "runs.csv").exists()
+
+
+def test_bench_writes_a_json_mirror_of_its_runs(tmp_path):
+    out_dir = tmp_path / "bench"
+    argv = ["bench", "table1", "--m", "12", "--n", "10", "--rank", "2", "--seeds", "2",
+            "--max-iter", "1", "--out-dir", str(out_dir), "--no-timing"]
+    assert run_cli(argv) == 0
+    rows = read_csv(out_dir / "table1_runs.csv")
+    mirror = json.loads((out_dir / "table1_runs.json").read_text())
+    assert len(mirror) == len(rows) == 40
+    assert [{c: str(e[c]) for c in CSV_COLUMNS} for e in mirror] == rows
+    assert {(e["stop_reason"], e["converged"], e["error"]) for e in mirror} == {
+        ("max_iter", False, "")
+    }
+
+
 def test_bench_movielens_requires_data(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli(["bench", "movielens", "--out-dir", str(tmp_path)])

@@ -291,6 +291,19 @@ def test_fixture_foreign_data_has_no_truth(tmp_path):
     assert truth is None  # triplets do not match the seeded generator
 
 
+@pytest.mark.parametrize(
+    "header", ["4 3 0 10.0 0.5 0", "4 3 4 10.0 0.5 0", "4 3 1 10.0 1.0 0", "4 3 1 nan 0.5 0"]
+)
+def test_fixture_with_a_header_no_generator_writes_has_no_spec(tmp_path, header):
+    # rank 0, rank above min(m, n), missing 1.0 and snr nan: SynthSpec
+    # rejects each, so the fixture loads as plain data
+    path = tmp_path / "foreign.txt"
+    path.write_text(header + "\n0 1 2.5\n3 2 -1.0\n")
+    spec, obs, truth = load_fixture(path)
+    assert spec is None and truth is None
+    assert (obs.m, obs.n, obs.nnz) == (4, 3, 2)
+
+
 def test_fixture_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n")
