@@ -8,7 +8,8 @@ Subcommands
 
 complete and each suite name only the axes of their grid; _run_grid
 builds the cells, checks every one before the first solve (a rejected
-value is a usage error, exit 2) and runs them with seeds innermost.
+value is a usage error, exit 2) and runs them with seeds innermost, on one
+instance per seed built once.
 complete sorts each axis, the suites keep flag order. Runs are emitted as
 CSV with a fixed column order (see CSV_COLUMNS), one row per cell, plus a
 JSON mirror (complete --json; bench always) that also carries each run's
@@ -137,14 +138,14 @@ def _checked(parser, make, *args):
         parser.error(str(exc))
 
 
-def _run_one(suite, cfg, instance, args):
-    """Solve cfg on instance(cfg.seed) into a full RunRecord row.
+def _run_one(suite, cfg, inst, args):
+    """Solve cfg on inst, its seed's built instance, into a full RunRecord row.
 
     The row starts from FAILED_RUN; a run that solves and scores overwrites
     each value. RE is taken over truth's held-out entries, NMAE over the
     test ratings on the [rmin, rmax] scale; with nothing to score it is NaN.
     """
-    y_train, meta, truth, test = instance(cfg.seed)
+    y_train, meta, truth, test = inst
     escape = "on" if cfg.escape_enabled else "off"
     row = dict(meta, suite=suite, p=cfg.p, init_rank=cfg.init_width, escape=escape)
     row.update({"seed": cfg.seed, "lambda": cfg.lam}, **FAILED_RUN)
@@ -171,8 +172,10 @@ def _run_one(suite, cfg, instance, args):
 def _run_grid(suite, instance, args, parser, init_ranks, ps, lams, escapes):
     """Solve each (init_rank, p, lam, escape_on, seed) cell of the axes'
     product, seeds innermost; instance(seed) returns (y_train, meta, truth,
-    test). Every cell's SolverConfig and instance(0) are built before the
-    first solve, so a value either rejects is a usage error (exit 2).
+    test). Every cell's SolverConfig is built before the first solve, and
+    each seed's instance once, before that seed's cells run and after the
+    previous seed's is released; a value either rejects is a usage error
+    (exit 2).
     """
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
@@ -188,8 +191,14 @@ def _run_grid(suite, instance, args, parser, init_ranks, ps, lams, escapes):
             configs.append(SolverConfig(**kw))
         except ValueError as exc:
             parser.error(f"{exc} (" + ", ".join(f"{k}={v}" for k, v in kw.items()) + ")")
-    _checked(parser, instance, 0)
-    return [_run_one(suite, cfg, instance, args) for cfg in configs]
+    runs = [None] * len(configs)
+    for seed in seeds:
+        inst = _checked(parser, instance, seed)
+        # seeds innermost: this seed's cells are every args.seeds-th from index seed
+        cells = slice(seed, None, args.seeds)
+        runs[cells] = [_run_one(suite, cfg, inst, args) for cfg in configs[cells]]
+        del inst  # one instance alive at a time: the next build may be large
+    return runs
 
 
 def _synthetic(args):
@@ -371,9 +380,9 @@ SUITES = {"table1": _table1, "ptrend": _ptrend, "movielens": _movielens}
 
 
 def cmd_bench(args, parser):
+    runs, summary = SUITES[args.suite](args, parser)
     out_dir = _outdir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    runs, summary = SUITES[args.suite](args, parser)
     _write_csv(os.path.join(out_dir, f"{args.suite}_runs.csv"), runs)
     _write_json(os.path.join(out_dir, f"{args.suite}_runs.json"), runs)
     text = "\n".join(summary) + "\n"
@@ -395,8 +404,8 @@ def cmd_movielens_prep(args, parser):
         f"(density {density:.2%}), values in [{obs.val.min():g}, {obs.val.max():g}]"
     )
     if args.split_out:
+        ms = _checked(parser, split, obs, args.train_frac, args.seed)
         os.makedirs(args.split_out, exist_ok=True)
-        ms = split(obs, args.train_frac, args.seed)
         for name, part in (("train", ms.train), ("test", ms.test)):
             path = os.path.join(args.split_out, f"{name}.txt")
             _write_fixture(path, part, 0, math.nan, math.nan, args.seed)
@@ -580,8 +589,6 @@ def main(argv=None):
     parser, args = parse_args(argv)
     try:
         return COMMANDS[args.command](args, parser)
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - top-level CLI failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import Factors, check_p, variational_sum
+from .norms import Factors, check_p, kept_columns, variational_sum
 from .observed import loss_value, masked_residual
 from .spectral import top_singular_pair
 
@@ -119,15 +119,11 @@ def attempt(Y, F, cfg, R=None):
         return F, dec
     obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
     R = None  # released before the verifying gather at F_new
-    tau = dec.tau
+    u, v = dec.tau * triple.u[:, None], dec.tau * triple.v[:, None]
     # prune would drop an appended column this short, leaving no descent
-    norms = np.linalg.norm(tau * triple.u), np.linalg.norm(tau * triple.v)
-    if min(norms) <= cfg.prune_thres:
+    if not kept_columns(u, v, cfg.prune_thres)[0]:
         return F, replace(dec, accepted=False, tau=0.0, descent_value=0.0)
-    F_new = Factors(
-        np.hstack([F.U, tau * triple.u[:, None]]),
-        np.hstack([F.V, tau * triple.v[:, None]]),
-    )
+    F_new = Factors(np.hstack([F.U, u]), np.hstack([F.V, v]))
     obj_new = loss_value(Y, F_new) + cfg.lam * variational_sum(F_new, cfg.p)
     if obj_new < obj_old:
         return F_new, dec

@@ -77,6 +77,11 @@ class Factors:
         )
 
 
+def kept_columns(U, V, thres):
+    """The prune rule: keep column i iff |u_i| > thres and |v_i| > thres."""
+    return (np.linalg.norm(U, axis=0) > thres) & (np.linalg.norm(V, axis=0) > thres)
+
+
 def _frozen(A):
     # A itself when it is read-only, C-ordered and owns its data, as every
     # factor of a Factors is; otherwise a frozen C-ordered copy, so a

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import escape as _escape
-from .norms import Factors, check_p, column_energies
+from .norms import Factors, check_p, column_energies, kept_columns
 from .observed import masked_residual
 
 
@@ -202,8 +202,7 @@ def prune(F, thres):
     If that would remove everything, a single zero column is kept so the
     factor pair stays well-formed; a RuntimeWarning flags the collapse.
     """
-    nu, nv = F.column_norms()
-    keep = (nu > thres) & (nv > thres)
+    keep = kept_columns(F.U, F.V, thres)
     if keep.all():
         return F
     if not keep.any():

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spfact.cli import (
     main,
     parse_args,
 )
+from spfact.datasets import gen_synthetic, split
 
 
 def run_cli(args):
@@ -409,6 +411,57 @@ def test_bad_input_is_a_usage_error_before_any_solve(tmp_path, monkeypatch, caps
     assert named in capsys.readouterr().err.splitlines()[-1]
     assert calls == []
     assert not list(tmp_path.rglob("*_runs.csv")) and not (tmp_path / "runs.csv").exists()
+    assert not (tmp_path / "out").exists()  # bench makes --out-dir only to write into it
+
+
+# argv, generator calls, cells per seed
+GENERATOR_CALL_CASES = {
+    "table1_default": (["bench", "table1"], 5, 20),
+    "ptrend_default": (["bench", "ptrend"], 5, 20),
+    "table1_two_seeds": (["bench", "table1", *TINY, "--seeds", "2"], 2, 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CALL_CASES))
+def test_grid_builds_each_seeds_instance_once_one_at_a_time(tmp_path, monkeypatch, case):
+    argv, seeds, cells = GENERATOR_CALL_CASES[case]
+    log, built = [], []
+
+    def generate(spec):
+        # with the count of earlier instances still alive
+        log.append(("generate", spec.seed, sum(ref() is not None for ref in built)))
+        gt = gen_synthetic(spec)
+        built.append(weakref.ref(gt))
+        return gt
+
+    def solve(y, cfg):
+        log.append(("solve", cfg.seed))
+        raise RuntimeError("not solved")
+
+    monkeypatch.setattr("spfact.cli.gen_synthetic", generate)
+    monkeypatch.setattr("spfact.cli.solve", solve)
+    assert run_cli(argv + ["--out-dir", str(tmp_path), "--no-timing"]) == 1
+    assert log == [
+        entry
+        for seed in range(seeds)
+        for entry in [("generate", seed, 0)] + [("solve", seed)] * cells
+    ]
+
+
+def test_complete_splits_a_ratings_file_once_per_seed(tmp_path, monkeypatch):
+    ratings = write_ratings(tmp_path / "u.data", m=40, n=35, k=700, seed=1)
+    seeds = []
+
+    def split_once(obs, train_frac, seed):
+        seeds.append(seed)
+        return split(obs, train_frac, seed)
+
+    monkeypatch.setattr("spfact.cli.split", split_once)
+    argv = ["complete", "--input", str(ratings), "--lam", "1.0,0.5", "--init-rank", "3,2",
+            "--seeds", "3", "--max-iter", "5", "--no-timing", "--out", str(tmp_path / "r.csv")]
+    assert run_cli(argv) == 0
+    assert seeds == [0, 1, 2]
+    assert len(read_csv(tmp_path / "r.csv")) == 12
 
 
 def test_bench_writes_a_json_mirror_of_its_runs(tmp_path):
@@ -473,6 +526,18 @@ def test_movielens_prep_summary_and_split(tmp_path, capsys):
     _, obs_train, truth = load_fixture(split_dir / "train.txt")
     assert truth is None
     assert obs_train.nnz == 20
+
+
+def test_movielens_prep_rejects_a_bad_split_before_making_its_directory(tmp_path, capsys):
+    ratings = write_ratings(tmp_path / "u.data")
+    split_dir = tmp_path / "splits"
+    argv = ["movielens-prep", "--data", str(ratings), "--train-frac", "1.5",
+            "--split-out", str(split_dir)]
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv)
+    assert e.value.code == 2
+    assert "got 1.5" in capsys.readouterr().err.splitlines()[-1]
+    assert not split_dir.exists()
 
 
 def test_config_file_defaults(tmp_path):

@@ -4,8 +4,9 @@ Hypothesis draws the geometry (m or n may be 1), an observed fraction from
 1e-3 to 1 with at least one observation, an optional empty row and empty
 column, the Schatten exponent p from 1e-3 to 1, and lam from 0 up to a
 value that prunes every column. Every solve must end with finite factors,
-an objective that never rises between escapes, and a documented stop
-reason; the collapsing lam must end in "collapse".
+an objective that never rises between escapes and falls at each accepted
+escape, and a documented stop reason; the collapsing lam must end in
+"collapse".
 """
 
 import warnings
@@ -59,6 +60,9 @@ def test_solve_on_degenerate_inputs(case):
     for lo, hi in zip([0] + cuts, cuts + [trace.size]):
         seg = trace[lo:hi]
         assert (np.diff(seg) <= 1e-12 * np.abs(seg[:-1])).all()
+    # an accepted escape strictly lowers the objective
+    for i in cuts:
+        assert trace[i] < trace[i - 1]
     # an untrusted top pair outranks the collapse in the report
     collapsed = F.width == 1 and not F.U.any() and not F.V.any()
     expect_collapse = collapsed and rep.stop_reason != "escape_unconverged"
