@@ -7,9 +7,9 @@ Subcommands
     movielens-prep  validate/summarize a ratings file, optionally split it
 
 complete and each suite name only the axes of their grid; _run_grid
-builds the cells, checks every one before the first solve (a rejected
-value is a usage error, exit 2) and runs them with seeds innermost, on one
-instance per seed built once.
+checks every cell (a rejected value is a usage error, exit 2), makes the
+outputs and only then runs the cells, seeds innermost, on one instance
+per seed built once.
 complete sorts each axis, the suites keep flag order. Runs are emitted as
 CSV with a fixed column order (see CSV_COLUMNS), one row per cell, plus a
 JSON mirror (complete --json; bench always) that also carries each run's
@@ -23,6 +23,7 @@ output directory.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -169,13 +170,13 @@ def _run_one(suite, cfg, inst, args):
     return row, error
 
 
-def _run_grid(suite, instance, args, parser, init_ranks, ps, lams, escapes):
+def _run_grid(args, parser, out_dir, paths, suite, instance, init_ranks, ps, lams, escapes):
     """Solve each (init_rank, p, lam, escape_on, seed) cell of the axes'
     product, seeds innermost; instance(seed) returns (y_train, meta, truth,
-    test). Every cell's SolverConfig is built before the first solve, and
-    each seed's instance once, before that seed's cells run and after the
-    previous seed's is released; a value either rejects is a usage error
-    (exit 2).
+    test). Every cell's SolverConfig and seed 0's instance are built, a
+    value either rejects being a usage error (exit 2), and out_dir and an
+    empty file at each path (None skipped) made before the first solve.
+    Each later seed's instance is built after the previous one is released.
     """
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
@@ -191,9 +192,15 @@ def _run_grid(suite, instance, args, parser, init_ranks, ps, lams, escapes):
             configs.append(SolverConfig(**kw))
         except ValueError as exc:
             parser.error(f"{exc} (" + ", ".join(f"{k}={v}" for k, v in kw.items()) + ")")
+    inst = _checked(parser, instance, 0)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    for path in filter(None, paths):
+        open(path, "w").close()
     runs = [None] * len(configs)
     for seed in seeds:
-        inst = _checked(parser, instance, seed)
+        if seed:
+            inst = _checked(parser, instance, seed)
         # seeds innermost: this seed's cells are every args.seeds-th from index seed
         cells = slice(seed, None, args.seeds)
         runs[cells] = [_run_one(suite, cfg, inst, args) for cfg in configs[cells]]
@@ -307,8 +314,8 @@ def cmd_complete(args, parser):
     init_ranks = _parse_init_ranks(args.init_rank, true_rank, parser)
     escapes = {"on": (True,), "off": (False,), "both": (False, True)}[args.escape]
     runs = _run_grid(
-        "complete", instance, args, parser,
-        init_ranks, sorted(args.p), sorted(args.lam), escapes,
+        args, parser, None, [args.out, args.json],
+        "complete", instance, init_ranks, sorted(args.p), sorted(args.lam), escapes,
     )
     _write_csv(args.out, runs)
     if args.json:
@@ -317,7 +324,8 @@ def cmd_complete(args, parser):
 
 
 # ----------------------------------------------------------------------
-# bench: each suite runs its grid and returns (runs, summary CSV lines)
+# bench: each suite runs its grid through grid(instance, init_ranks, ps, lams,
+# escapes) and returns (runs, summary CSV lines)
 
 
 def _median(runs, field, **match):
@@ -326,11 +334,9 @@ def _median(runs, field, **match):
     return float(np.median([row[field] for row in rows]))
 
 
-def _table1(args, parser):
+def _table1(args, grid):
     init_ranks = [_init_width(mult, args.rank) for mult in TABLE1_MULTIPLIERS]
-    runs = _run_grid(
-        "table1", _synthetic(args), args, parser, init_ranks, args.p, (args.lam,), (True, False)
-    )
+    runs = grid(_synthetic(args), init_ranks, args.p, (args.lam,), (True, False))
 
     # summary axes: one row per initial-rank multiplier, one column pair
     # (median RE, median rank) per escape-mode x p combination
@@ -346,10 +352,10 @@ def _table1(args, parser):
     return runs, summary
 
 
-def _ptrend(args, parser):
+def _ptrend(args, grid):
     ps, lams = args.p, args.lams
     ir = _init_width(1.5, args.rank) if args.init_rank is None else args.init_rank
-    runs = _run_grid("ptrend", _synthetic(args), args, parser, (ir,), ps, lams, (True,))
+    runs = grid(_synthetic(args), (ir,), ps, lams, (True,))
 
     # summary: one RE column per p, each taken at that p's best lambda; min
     # keeps the first lambda on ties, and a NaN median wins only when first
@@ -365,11 +371,9 @@ def _ptrend(args, parser):
     return runs, summary
 
 
-def _movielens(args, parser):
+def _movielens(args, grid):
     instance = _ratings(parse_movielens(args.data), args)
-    runs = _run_grid(
-        "movielens", instance, args, parser, MOVIELENS_INIT_RANKS, (args.p,), (args.lam,), (True,)
-    )
+    runs = grid(instance, MOVIELENS_INIT_RANKS, (args.p,), (args.lam,), (True,))
     summary = ["init_rank,nmae_median"] + [
         f"{ir},{_median(runs, 'nmae', init_rank=ir)!r}" for ir in MOVIELENS_INIT_RANKS
     ]
@@ -380,13 +384,15 @@ SUITES = {"table1": _table1, "ptrend": _ptrend, "movielens": _movielens}
 
 
 def cmd_bench(args, parser):
-    runs, summary = SUITES[args.suite](args, parser)
     out_dir = _outdir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, f"{args.suite}_runs.csv"), runs)
-    _write_json(os.path.join(out_dir, f"{args.suite}_runs.json"), runs)
+    names = ("runs.csv", "runs.json", "summary.csv")
+    paths = [os.path.join(out_dir, f"{args.suite}_{name}") for name in names]
+    grid = functools.partial(_run_grid, args, parser, out_dir, paths, args.suite)
+    runs, summary = SUITES[args.suite](args, grid)
+    _write_csv(paths[0], runs)
+    _write_json(paths[1], runs)
     text = "\n".join(summary) + "\n"
-    with open(os.path.join(out_dir, f"{args.suite}_summary.csv"), "w") as fh:
+    with open(paths[2], "w") as fh:
         fh.write(text)
     sys.stdout.write(text)
     return _report_failures(runs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observed import MaskSplit, ObservedMatrix, predicted_values
+from .observed import MaskSplit, ObservedMatrix, residual_values
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,7 @@ def nmae(F, test, r_min, r_max):
         raise ValueError("r_max must exceed r_min")
     if test.nnz == 0:
         raise ValueError("test set is empty")
-    pred = predicted_values(test, F)
-    return float(np.mean(np.abs(test.val - pred)) / (r_max - r_min))
+    return float(np.mean(np.abs(residual_values(test, F))) / (r_max - r_min))
 
 
 def _write_fixture(path, obs, rank, snr, missing, seed):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import Factors, check_p, kept_columns, variational_sum
-from .observed import loss_value, masked_residual
+from .norms import Factors, check_p, column_energies, kept_columns, objective_value
+from .observed import masked_residual, residual_values
 from .spectral import top_singular_pair
 
 POWER_TOL = 1e-10
@@ -117,14 +117,15 @@ def attempt(Y, F, cfg, R=None):
     triple, dec = _top_pair_decision(R.to_csr(), cfg.lam, cfg.p)
     if not dec.accepted:
         return F, dec
-    obj_old = 0.5 * float(R.val @ R.val) + cfg.lam * variational_sum(F, cfg.p)
+    obj_old = objective_value(R.val, column_energies(F), cfg.lam, cfg.p)
     R = None  # released before the verifying gather at F_new
     u, v = dec.tau * triple.u[:, None], dec.tau * triple.v[:, None]
     # prune would drop an appended column this short, leaving no descent
     if not kept_columns(u, v, cfg.prune_thres)[0]:
         return F, replace(dec, accepted=False, tau=0.0, descent_value=0.0)
     F_new = Factors(np.hstack([F.U, u]), np.hstack([F.V, v]))
-    obj_new = loss_value(Y, F_new) + cfg.lam * variational_sum(F_new, cfg.p)
+    r_new = residual_values(Y, F_new)
+    obj_new = objective_value(r_new, column_energies(F_new), cfg.lam, cfg.p)
     if obj_new < obj_old:
         return F_new, dec
     return F, replace(dec, accepted=False, tau=0.0, rip_gap=True)

@@ -71,10 +71,7 @@ class Factors:
 
     def column_norms(self):
         """Euclidean norms of the columns of U and of V."""
-        return (
-            np.linalg.norm(self.U, axis=0),
-            np.linalg.norm(self.V, axis=0),
-        )
+        return np.linalg.norm(self.U, axis=0), np.linalg.norm(self.V, axis=0)
 
 
 def kept_columns(U, V, thres):
@@ -96,6 +93,11 @@ def _frozen(A):
 def column_energies(F):
     """Per-column energies c_i = (|u_i|^2 + |v_i|^2) / 2."""
     return 0.5 * (np.sum(F.U * F.U, axis=0) + np.sum(F.V * F.V, axis=0))
+
+
+def objective_value(r, c, lam, p):
+    """The objective 0.5 |r|^2 + lam * sum_i c_i^p from residuals and energies."""
+    return 0.5 * float(r @ r) + lam * float(np.sum(c ** float(p)))
 
 
 def _numerical_rank(s):

@@ -6,11 +6,11 @@ row-wise sweeps cost O(|Z| d). The masking operator P restricts a dense
 matrix to the observed index set; adjoint_embed is its adjoint, scattering
 observed values back into a dense zero matrix.
 
-predicted_values, and through it masked_residual and loss_value, gathers
-the factor rows of the observed entries in fixed-size blocks, so the
-O(|Z| d) gather needs two blocks of scratch memory on top of its O(|Z|)
-output. masked_residual and loss_value subtract into that output, so a
-residual costs one |Z|-length array.
+predicted_values gathers the factor rows of the observed entries in
+fixed-size blocks, so the O(|Z| d) gather needs two blocks of scratch
+memory on top of its O(|Z|) output. residual_values, which masked_residual
+and loss_value both read, subtracts into that output, so a residual costs
+one |Z|-length array.
 """
 
 from dataclasses import dataclass
@@ -170,10 +170,15 @@ def predicted_values(Y, F):
     return out
 
 
+def residual_values(Y, F):
+    """Values of Y - U V^T at the observed positions of Y, in O(|Z| d)."""
+    r = predicted_values(Y, F)
+    return np.subtract(Y.val, r, out=r)
+
+
 def masked_residual(Y, F):
     """P(Y - U V^T): the residual triplets on the observed set."""
-    r = predicted_values(Y, F)
-    return Y._derive(np.subtract(Y.val, r, out=r))
+    return Y._derive(residual_values(Y, F))
 
 
 def adjoint_embed(R):
@@ -185,6 +190,5 @@ def adjoint_embed(R):
 
 def loss_value(Y, F):
     """Half squared residual on the observed set, 0.5 |P(Y - U V^T)|_F^2."""
-    r = predicted_values(Y, F)
-    np.subtract(Y.val, r, out=r)
+    r = residual_values(Y, F)
     return 0.5 * float(r @ r)

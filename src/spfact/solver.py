@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import escape as _escape
-from .norms import Factors, check_p, column_energies, kept_columns
+from .norms import Factors, check_p, column_energies, kept_columns, objective_value
 from .observed import masked_residual
 
 
@@ -34,7 +34,8 @@ class SolverConfig:
     lam = 0 is allowed for pure least-squares runs; the regularizer and
     its weights vanish, and rank-one escapes are skipped (the escape test
     needs lam > 0). escape_check_max bounds the number of successful
-    escapes per solve and defaults to init_width.
+    escapes per solve and defaults to init_width; escape_budget is that
+    bound, or 0 when escapes are off or lam = 0.
     """
 
     p: float
@@ -64,9 +65,10 @@ class SolverConfig:
 
     @property
     def escape_budget(self):
-        if self.escape_check_max is None:
-            return self.init_width
-        return self.escape_check_max
+        if not (self.escape_enabled and self.lam > 0):
+            return 0
+        cap = self.escape_check_max
+        return self.init_width if cap is None else cap
 
 
 class EscapeEvent(NamedTuple):
@@ -103,13 +105,7 @@ class SolveReport:
 
 def objective(Y, F, cfg):
     """Masked half squared loss plus lam * sum_i c_i^p."""
-    return _objective(masked_residual(Y, F), column_energies(F), cfg)
-
-
-def _objective(R, c, cfg):
-    # The objective at F from its masked residual R and column energies c,
-    # with the float operations of loss_value(Y, F) + lam * variational_sum(F, p).
-    return 0.5 * float(R.val @ R.val) + cfg.lam * float(np.sum(c ** float(cfg.p)))
+    return objective_value(masked_residual(Y, F).val, column_energies(F), cfg.lam, cfg.p)
 
 
 def _weights(c, p):
@@ -237,14 +233,13 @@ def _frob_inner(Fa, Fb):
 
 
 def _settle(Y, F, cfg):
-    # What the trace entry, the collapse guard and the next sweep's U half
-    # read at the pruned iterate F: the masked residual R, the column
-    # energies c and the objective from them. R comes in a one-slot list,
-    # which the caller pops to hand R on without keeping it; c is taken
-    # first, so its temporaries are gone before the gather.
+    # Everything solve reads at the pruned iterate F: the masked residual R
+    # (in a one-slot list the caller pops to hand R on without keeping it),
+    # the column energies c (taken first, so their temporaries are gone
+    # before the gather), the objective and |U V^T|_F^2.
     c = column_energies(F)
     R = masked_residual(Y, F)
-    return [R], c, _objective(R, c, cfg)
+    return [R], c, objective_value(R.val, c, cfg.lam, cfg.p), _frob_inner(F, F)
 
 
 def solve(Y, cfg, F0=None):
@@ -271,34 +266,31 @@ def solve(Y, cfg, F0=None):
             raise ValueError(
                 f"initial width {F0.width} does not match cfg.init_width {cfg.init_width}"
             )
-        if F0.shape != Y.shape:
-            raise ValueError("initial factor shape does not match the data")
-        F = F0
-    # Each iterate is pruned once, and the previous one is released before
-    # the gather at the new one, so the gather holds one factor pair.
+        F = F0  # the first gather checks its shape
+    # Each iterate is pruned once and settled once, and the previous one is
+    # released before the gather at the new one, so the gather holds one
+    # factor pair. A collapsed iterate (all energies zero) is not swept: it
+    # repeats its trace entry with relative change 0.
     F = prune(F, cfg.prune_thres)
-    self_new = _frob_inner(F, F)
-    held, c, obj = _settle(Y, F, cfg)
+    held, c, obj, self_new = _settle(Y, F, cfg)
     trace = [obj]
     events = []
     stop_reason = "max_iter"
     for t in range(1, cfg.max_iter + 1):
-        F_prev, self_prev = F, self_new
-        moved = c.max() > 0.0
-        if moved:
+        rel = 0.0
+        if c.max() > 0.0:
+            F_old, self_old = F, self_new
             F = prune(bsum_step(Y, F, cfg, held.pop(), c), cfg.prune_thres)
-        self_new = _frob_inner(F, F)
-        cross = _frob_inner(F, F_prev)
-        del F_prev
-        if moved:
-            held, c, obj = _settle(Y, F, cfg)
+            cross = _frob_inner(F, F_old)
+            del F_old
+            held, c, obj, self_new = _settle(Y, F, cfg)
+            d2 = self_new + self_old - 2.0 * cross
+            den = np.sqrt(max(self_old, 0.0))
+            rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         trace.append(obj)
-        d2 = self_new + self_prev - 2.0 * cross
-        den = np.sqrt(max(self_prev, 0.0))
-        rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         if rel >= cfg.conv_tol:
             continue
-        if not (cfg.escape_enabled and cfg.lam > 0 and len(events) < cfg.escape_budget):
+        if len(events) >= cfg.escape_budget:
             stop_reason = "converged"
             break
         # A rejected escape returns F itself; an accepted one replaces it.
@@ -309,18 +301,13 @@ def solve(Y, cfg, F0=None):
             )
             break
         F = prune(F, cfg.prune_thres)
-        self_new = _frob_inner(F, F)
-        held, c, obj = _settle(Y, F, cfg)
+        held, c, obj, self_new = _settle(Y, F, cfg)
         trace.append(obj)
         events.append(EscapeEvent(t, len(trace) - 1, dec.sigma, dec.tau))
     if not c.max() > 0.0 and stop_reason != "escape_unconverged":
         stop_reason = "collapse"
 
-    report = SolveReport(
-        final_width=F.width,
-        objective_trace=np.asarray(trace),
-        iters=t,
-        stop_reason=stop_reason,
-        escape_events=events,
+    return F, SolveReport(
+        final_width=F.width, objective_trace=np.asarray(trace), iters=t,
+        stop_reason=stop_reason, escape_events=events,
     )
-    return F, report

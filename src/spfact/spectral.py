@@ -95,7 +95,7 @@ def _orthogonalize(w, Q):
     return w
 
 
-def top_singular_pair(X, tol=1e-9, max_iter=10000):
+def top_singular_pair(X, tol, max_iter):
     """Dominant singular triple of X by restarted Lanczos bidiagonalization.
 
     From a fixed seeded random unit u, Golub-Kahan-Lanczos bidiagonalization

@@ -112,6 +112,17 @@ def test_complete_single_run(tmp_path, capsys):
     assert r["wall_ms"] == "0.0"
 
 
+def test_complete_writes_its_csv_to_stdout_without_out(tmp_path, capsys):
+    fixture = make_fixture(tmp_path)
+    capsys.readouterr()
+    argv = ["complete", "--input", str(fixture), "--init-rank", "2", "--seeds", "2",
+            "--max-iter", "5", "--no-timing"]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [line.split(",")[CSV_COLUMNS.index("seed")] for line in lines[1:]] == ["0", "1"]
+
+
 def test_complete_sweep_row_count(tmp_path):
     fixture = make_fixture(tmp_path)
     csv_path = tmp_path / "runs.csv"
@@ -370,6 +381,8 @@ BAD_INPUT_CASES = {
                                  "'nanx'"),
     "init_rank_negative_multiplier": (
         ["complete", "--input", "{fixture}", "--init-rank", "1x,-1x"], "'-1x'"),
+    "init_rank_empty": (["complete", "--input", "{fixture}", "--init-rank", ","],
+                        "no init ranks given"),
     "seeds_zero": (["complete", "--input", "{fixture}", "--seeds", "0"], "got 0"),
     "seeds_negative": (["complete", "--input", "{fixture}", "--seeds", "-2"], "got -2"),
     "escape_budget_negative": (["complete", "--input", "{fixture}", "--escape-budget", "-1"],
@@ -412,6 +425,31 @@ def test_bad_input_is_a_usage_error_before_any_solve(tmp_path, monkeypatch, caps
     assert calls == []
     assert not list(tmp_path.rglob("*_runs.csv")) and not (tmp_path / "runs.csv").exists()
     assert not (tmp_path / "out").exists()  # bench makes --out-dir only to write into it
+
+
+# an existing file F stands where an output directory has to be
+UNWRITABLE_OUTPUT_CASES = {
+    "complete_out": ["complete", "--input", "{fixture}", "--out", "{F}/x.csv"],
+    "complete_json": ["complete", "--input", "{fixture}", "--json", "{F}/x.json"],
+    "bench_out_dir": ["bench", "table1", *TINY, "--seeds", "2", "--out-dir", "{F}"],
+    "bench_out_dir_below": ["bench", "table1", *TINY, "--seeds", "2", "--out-dir", "{F}/sub"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUT_CASES))
+def test_an_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys, case):
+    paths = dict(fixture=make_fixture(tmp_path, m=30, n=20, rank=2), F=tmp_path / "F")
+    paths["F"].write_text("")
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr("spfact.cli.solve", lambda *a: calls.append(a))
+    argv = [a.format(**paths) for a in UNWRITABLE_OUTPUT_CASES[case]]
+    if argv[0] == "complete":
+        argv += ["--lam", "0.5,1", "--init-rank", "2,3", "--seeds", "3"]
+    assert run_cli(argv + ["--max-iter", "50", "--no-timing"]) == 1
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 # argv, generator calls, cells per seed
@@ -577,6 +615,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli(["--config", str(cfg_file), "bench", "table1"])
     assert e.value.code == 2
+
+
+def test_config_file_rejects_a_line_without_equals(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.conf"
+    cfg_file.write_text("seeds = 2\n\nmax_iter 5\n")
+    with pytest.raises(SystemExit) as e:
+        run_cli(["--config", str(cfg_file), "bench", "table1"])
+    assert e.value.code == 2
+    assert "bad.conf:3: expected 'key = value'" in capsys.readouterr().err
 
 
 def test_config_value_typed_by_the_chosen_command(tmp_path):

@@ -131,6 +131,22 @@ def test_parse_movielens_line_format(tmp_path):
     assert obs.val.tolist() == [3.0, 3.0]
 
 
+def test_parse_movielens_skips_blank_lines(tmp_path):
+    f = tmp_path / "u.data"
+    f.write_text("\n2\t3\t4\t0\n  \n1\t1\t5\t0\n\n")
+    obs = parse_movielens(f)
+    assert obs.shape == (2, 3)
+    assert obs.val.tolist() == [5.0, 4.0]
+
+
+@pytest.mark.parametrize("line", ["0\t2\t3\t0", "1\t-2\t3\t0"])
+def test_parse_movielens_rejects_a_non_positive_id(tmp_path, line):
+    f = tmp_path / "u.data"
+    f.write_text("1\t1\t5\t0\n" + line + "\n")
+    with pytest.raises(ValueError, match=":2: ids must be 1-based positive"):
+        parse_movielens(f)
+
+
 def test_parse_movielens_empty(tmp_path):
     f = tmp_path / "empty.data"
     f.write_text("")
@@ -302,6 +318,13 @@ def test_fixture_with_a_header_no_generator_writes_has_no_spec(tmp_path, header)
     spec, obs, truth = load_fixture(path)
     assert spec is None and truth is None
     assert (obs.m, obs.n, obs.nnz) == (4, 3, 2)
+
+
+def test_fixture_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("3 3 1 10.0 0.0 7\n\n0 0 1.5\n   \n2 2 3.5\n\n")
+    _, obs, _ = load_fixture(path)
+    assert obs.row.tolist() == [0, 2] and obs.val.tolist() == [1.5, 3.5]
 
 
 def test_fixture_rejects_garbage(tmp_path):

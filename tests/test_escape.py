@@ -79,6 +79,8 @@ def test_validation():
         escape_decision(np.array([[np.nan]]), 1.0, 0.5)
     with pytest.raises(ValueError):
         escape_decision(np.eye(2), 1.0, 1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _decide(-1e-3, 1.0, 0.5)
 
 
 def test_appended_pair_balanced_and_descending():

@@ -38,6 +38,8 @@ def test_factors_validation():
         Factors(np.ones((3, 2)), np.ones((4, 3)))
     with pytest.raises(ValueError):
         Factors(np.full((3, 1), np.nan), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="at least one column"):
+        Factors(np.ones((3, 0)), np.ones((4, 0)))
     F = Factors(np.ones((3, 2)), np.ones((4, 2)))
     assert F.width == 2
     assert F.shape == (3, 4)
@@ -162,6 +164,8 @@ def test_balanced_factorization_rejects_small_width():
     X = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
     with pytest.raises(ValueError, match="rank"):
         balanced_factorization(X, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        balanced_factorization(np.zeros((3, 4)), 0)
 
 
 def test_nuclear_norm_special_case():

@@ -51,6 +51,11 @@ def test_construction_rejects_bad_input():
         ObservedMatrix(2, 2, [0, 1], [0, -1], [1.0, 2.0])
     with pytest.raises(ValueError, match="NaN or Inf"):
         ObservedMatrix(2, 2, [0, 1], [0, 1], [1.0, np.nan])
+    for m, n in ((0, 2), (2, -1)):
+        with pytest.raises(ValueError, match="shape must be positive"):
+            ObservedMatrix(m, n, [], [], [])
+    with pytest.raises(ValueError, match="equal lengths"):
+        ObservedMatrix(2, 2, [0, 1], [0, 1], [1.0])
 
 
 def test_masked_residual_hand_case():

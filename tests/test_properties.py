@@ -6,7 +6,9 @@ column, the Schatten exponent p from 1e-3 to 1, and lam from 0 up to a
 value that prunes every column. Every solve must end with finite factors,
 an objective that never rises between escapes and falls at each accepted
 escape, and a documented stop reason; the collapsing lam must end in
-"collapse".
+"collapse". A second strategy, width-1 starts on mostly observed low-rank
+matrices with a small lam, makes accepted escapes common, and its solves
+go through the same checks.
 """
 
 import warnings
@@ -45,6 +47,27 @@ def instances(draw):
     return Y, cfg
 
 
+@st.composite
+def escape_instances(draw):
+    m = draw(st.integers(3, 8))
+    n = draw(st.integers(3, 8))
+    rank = draw(st.integers(2, min(m, n)))
+    frac = draw(st.floats(0.6, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    lin = rng.choice(m * n, size=int(round(frac * m * n)), replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, X.ravel()[lin])
+    cfg = SolverConfig(
+        p=draw(st.floats(0.2, 1.0)),
+        lam=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        init_width=1,
+        escape_check_max=3,
+        max_iter=300,
+        seed=draw(st.integers(0, 9)),
+    )
+    return Y, cfg
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(instances())
 def test_solve_on_degenerate_inputs(case):
@@ -69,3 +92,10 @@ def test_solve_on_degenerate_inputs(case):
     assert (rep.stop_reason == "collapse") == expect_collapse
     if cfg.lam == COLLAPSE_LAM:
         assert rep.stop_reason == "collapse"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(escape_instances())
+def test_solve_across_accepted_escapes(case):
+    # the checks above, on inputs where most solves accept an escape
+    test_solve_on_degenerate_inputs.hypothesis.inner_test(case)

@@ -58,9 +58,14 @@ def test_config_validation():
         SolverConfig(p=0.5, lam=1.0, init_width=0)
     with pytest.raises(ValueError):
         SolverConfig(p=0.5, lam=1.0, init_width=2, conv_tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(p=0.5, lam=1.0, init_width=2, max_iter=0)
     cfg = SolverConfig(p=0.5, lam=1.0, init_width=4)
     assert cfg.escape_budget == 4
     assert SolverConfig(p=0.5, lam=1.0, init_width=4, escape_check_max=9).escape_budget == 9
+    # no escape is tried with escapes off or at lam = 0
+    assert replace(cfg, escape_enabled=False, escape_check_max=9).escape_budget == 0
+    assert replace(cfg, lam=0.0, escape_check_max=9).escape_budget == 0
 
 
 @pytest.mark.parametrize("field", ["lam", "prune_thres", "conv_tol"])
@@ -469,6 +474,17 @@ def test_solve_leaves_the_initial_factors_unchanged():
     assert np.array_equal(F0.U, U0) and np.array_equal(F0.V, V0)
     assert not (F0.U.flags.writeable or F0.V.flags.writeable)
     assert not (F.U.flags.writeable or F.V.flags.writeable)
+
+
+def test_solve_rejects_an_initial_point_that_does_not_fit():
+    Y, F, cfg = one_by_one()
+    wide = Factors(np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="initial width 2"):
+        solve(Y, cfg, wide)
+    tall = Factors(np.ones((2, 1)), np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"factor shape \(2, 1\) does not match data shape"):
+        solve(Y, cfg, tall)
+    assert solve(Y, cfg, F)[1].iters >= 1
 
 
 def _hand_solve(Y, cfg, rep):

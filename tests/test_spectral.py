@@ -53,6 +53,12 @@ def test_full_svd_rejects_nonfinite():
         full_svd(X)
 
 
+def test_full_svd_rejects_a_non_2d_input():
+    for X in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            full_svd(X)
+
+
 def test_frobenius_identity():
     # sum of squared singular values equals the squared Frobenius norm
     rng = np.random.default_rng(2)
@@ -123,11 +129,11 @@ def test_top_pair_nonconverged_flag():
 
 def test_top_pair_validates_arguments():
     with pytest.raises(ValueError):
-        top_singular_pair(np.eye(2), tol=0.0)
+        top_singular_pair(np.eye(2), tol=0.0, max_iter=10)
     with pytest.raises(ValueError):
         top_singular_pair(np.eye(2), tol=1e-8, max_iter=0)
     with pytest.raises(ValueError):
-        top_singular_pair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        top_singular_pair(np.array([[np.inf, 0.0], [0.0, 1.0]]), tol=1e-8, max_iter=10)
 
 
 def test_top_pair_sparse_matches_dense():
@@ -173,7 +179,7 @@ def test_top_pair_sparse_rejects_nonfinite():
         X = sp.csr_matrix(np.eye(3))
         X.data[1] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
-            top_singular_pair(X)
+            top_singular_pair(X, tol=1e-8, max_iter=10)
 
 
 def _with_spectrum(rng, m, n, s):
