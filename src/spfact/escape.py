@@ -1,4 +1,4 @@
-"""Rank-one escape step for stagnated factorizations.
+"""Rank-one escape step, tried when a factorization stalls or converges.
 
 At a stationary factor pair the most profitable rank-one direction to
 append is the top singular pair (sigma, u, v) of the embedded residual

@@ -11,9 +11,12 @@ The masked row Gram is dominated by V^T V and the linearized concave
 regularizer upper-bounds c^p, so a sweep never increases the objective.
 Columns whose norm falls under a threshold are pruned after each sweep,
 which keeps the p-1 < 0 exponents away from zero and makes the final
-width rank-revealing. Optionally, once the iterates stagnate, a rank-one
-escape step (see escape.py) appends a scaled top singular pair of the
-embedded residual and iteration resumes.
+width rank-revealing. Optionally, a rank-one escape step (see escape.py)
+appends a scaled top singular pair of the embedded residual and iteration
+resumes. The escape is tried at two stall levels of the relative change:
+once early, the first time it falls below EARLY_ESCAPE_FACTOR * conv_tol
+since the last accepted escape, and again at convergence (below conv_tol).
+An early rejection does not stop the solve; a rejection at convergence does.
 """
 
 import warnings
@@ -25,6 +28,12 @@ import numpy as np
 from . import escape as _escape
 from .norms import Factors, check_p, column_energies, kept_columns, objective_value
 from .observed import masked_residual
+
+# A width that the next escape will grow need not be polished to conv_tol:
+# the escape is first tried once the relative change falls below this
+# multiple of conv_tol. A factor of 100 accepted a spurious column on the
+# benchmark's escape_sparse instance (1500x1000, rank 3, 4% observed).
+EARLY_ESCAPE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -78,21 +87,34 @@ class EscapeEvent(NamedTuple):
     tau: float
 
 
+class EscapeAttempt(NamedTuple):
+    iteration: int
+    early: bool  # tried at the early stall level, not at convergence
+    decision: _escape.EscapeDecision
+
+
 @dataclass
 class SolveReport:
     """stop_reason is "converged" (stagnated with no escape left to try),
-    "escape_rejected" (the escape test, its verified descent or the prune
-    of its appended column rejected the step), "collapse" (prune removed
-    every column and the final iterate is the retained zero column),
-    "escape_unconverged" (the seeded restarted Lanczos bidiagonalization
-    for the escape's top pair hit its matvec cap; it takes precedence over
-    "collapse") or "max_iter"; converged is False for the last two."""
+    "escape_rejected" (at convergence, the escape test, its verified
+    descent or the prune of its appended column rejected the step),
+    "collapse" (prune removed every column and the final iterate is the
+    retained zero column), "escape_unconverged" (at convergence, the
+    seeded restarted Lanczos bidiagonalization for the escape's top pair
+    hit its matvec cap; it takes precedence over "collapse") or
+    "max_iter"; converged is False for the last two. A rejected early
+    attempt sets no stop reason: sweeping goes on.
+
+    escape_events holds the accepted escapes; escape_attempts holds every
+    top-pair attempt, early and rejected ones included, with its decision.
+    """
 
     final_width: int
     objective_trace: np.ndarray
     iters: int
     stop_reason: str
     escape_events: list = field(default_factory=list)
+    escape_attempts: list = field(default_factory=list)
 
     @property
     def converged(self):
@@ -247,11 +269,16 @@ def solve(Y, cfg, F0=None):
 
     Convergence fires when |X_t+1 - X_t|_F / |X_t|_F < conv_tol (the
     denominator is replaced by 1 when the iterate is the zero matrix).
-    With escapes enabled, each time the test fires a rank-one escape is
-    attempted; an accepted escape appends a column and iteration resumes,
-    a rejected one (or an exhausted budget) terminates the solve. The
-    report's stop_reason records which of these ended it, and reads
-    "collapse" when prune left only the retained zero column.
+    With escapes enabled and budget left, a rank-one escape is attempted
+    at two stall levels. Early: the first time since the last accepted
+    escape that the relative change falls below EARLY_ESCAPE_FACTOR *
+    conv_tol, at most once between accepted escapes; a rejected early
+    attempt leaves F as it is and sweeping goes on. At convergence: each
+    time the test fires; a rejection (or an exhausted budget) terminates
+    the solve. An accepted escape at either level appends a column and
+    iteration resumes. The report's stop_reason records what ended the
+    solve, and reads "collapse" when prune left only the retained zero
+    column.
 
     Returns (Factors, SolveReport). The report's objective trace has one
     entry for the initial point, one per sweep, and one per accepted
@@ -274,7 +301,8 @@ def solve(Y, cfg, F0=None):
     F = prune(F, cfg.prune_thres)
     held, c, obj, self_new = _settle(Y, F, cfg)
     trace = [obj]
-    events = []
+    events, attempts = [], []
+    tried_early = False  # an early attempt since the last accepted escape
     stop_reason = "max_iter"
     for t in range(1, cfg.max_iter + 1):
         rel = 0.0
@@ -288,18 +316,30 @@ def solve(Y, cfg, F0=None):
             den = np.sqrt(max(self_old, 0.0))
             rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         trace.append(obj)
-        if rel >= cfg.conv_tol:
+        early = bool(rel >= cfg.conv_tol)
+        if early and (
+            tried_early
+            or rel >= EARLY_ESCAPE_FACTOR * cfg.conv_tol
+            or len(events) >= cfg.escape_budget
+        ):
             continue
         if len(events) >= cfg.escape_budget:
             stop_reason = "converged"
             break
         # A rejected escape returns F itself; an accepted one replaces it.
         F, dec = _escape.attempt(Y, F, cfg, held.pop())
+        attempts.append(EscapeAttempt(t, early, dec))
         if not dec.accepted:
+            if early:
+                # attempt took the only reference to the held residual
+                tried_early = True
+                held = [masked_residual(Y, F)]
+                continue
             stop_reason = (
                 "escape_rejected" if dec.power_converged else "escape_unconverged"
             )
             break
+        tried_early = False
         F = prune(F, cfg.prune_thres)
         held, c, obj, self_new = _settle(Y, F, cfg)
         trace.append(obj)
@@ -309,5 +349,5 @@ def solve(Y, cfg, F0=None):
 
     return F, SolveReport(
         final_width=F.width, objective_trace=np.asarray(trace), iters=t,
-        stop_reason=stop_reason, escape_events=events,
+        stop_reason=stop_reason, escape_events=events, escape_attempts=attempts,
     )

@@ -8,13 +8,14 @@ an objective that never rises between escapes and falls at each accepted
 escape, and a documented stop reason; the collapsing lam must end in
 "collapse". A second strategy, width-1 starts on mostly observed low-rank
 matrices with a small lam, makes accepted escapes common, and its solves
-go through the same checks.
+go through the same checks; explicit examples pin inputs that accept an
+escape at the early stall level, whatever Hypothesis draws.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spfact import ObservedMatrix, SolverConfig, solve
 
@@ -68,6 +69,24 @@ def escape_instances(draw):
     return Y, cfg
 
 
+def early_escape_case(seed, m, n, p, lam):
+    # an escape_instances input: rank 3, 80% observed, start seed 0
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    lin = rng.choice(m * n, size=int(round(0.8 * m * n)), replace=False)
+    Y = ObservedMatrix(m, n, lin // n, lin % n, X.ravel()[lin])
+    return Y, SolverConfig(p=p, lam=lam, init_width=1, escape_check_max=3, max_iter=300)
+
+
+# Each accepts its first escape at the early stall level; the first also
+# rejects an early attempt and then one at convergence.
+EARLY_ESCAPE_CASES = [
+    early_escape_case(0, 6, 5, 0.5, 0.05),
+    early_escape_case(2, 7, 6, 1.0, 0.2),
+    early_escape_case(0, 7, 6, 0.3, 0.5),
+]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(instances())
 def test_solve_on_degenerate_inputs(case):
@@ -96,6 +115,16 @@ def test_solve_on_degenerate_inputs(case):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(escape_instances())
+@example(EARLY_ESCAPE_CASES[0])
+@example(EARLY_ESCAPE_CASES[1])
+@example(EARLY_ESCAPE_CASES[2])
 def test_solve_across_accepted_escapes(case):
     # the checks above, on inputs where most solves accept an escape
     test_solve_on_degenerate_inputs.hypothesis.inner_test(case)
+
+
+def test_pinned_examples_accept_an_early_escape():
+    for Y, cfg in EARLY_ESCAPE_CASES:
+        _, rep = solve(Y, cfg)
+        first = rep.escape_attempts[0]
+        assert first.early and first.decision.accepted

@@ -19,7 +19,7 @@ from spfact import (
     solve,
     surrogate_hessian_U,
 )
-from spfact import escape
+from spfact import escape, solver
 from spfact.norms import column_energies
 from spfact.solver import bsum_step, prune, random_factors, surrogate_hessian_V
 
@@ -537,3 +537,66 @@ def test_solve_stop_reasons(monkeypatch):
     assert rep.stop_reason == "escape_unconverged"
     assert not rep.converged
     assert rep.escapes == 0 and rep.final_width == 2
+
+
+def test_solve_tries_one_early_escape_per_stall(monkeypatch):
+    # Each attempt is logged with the relative change of the sweep before it,
+    # computed from the dense iterates. Two escapes are accepted early, a third
+    # early attempt is rejected, and the solve sweeps on until it converges and
+    # its final attempt is rejected.
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=5)
+    log = []
+    step, attempt = solver.bsum_step, escape.attempt
+
+    def logged_step(Y, F, *args):
+        log.append(("sweep", F.matrix()))
+        return step(Y, F, *args)
+
+    def logged_attempt(Y, F, *args):
+        kind, X_old = log[-1]
+        assert kind == "sweep"
+        rel = np.linalg.norm(F.matrix() - X_old) / np.linalg.norm(X_old)
+        F_new, dec = attempt(Y, F, *args)
+        log.append(("attempt", (rel, dec.accepted)))
+        return F_new, dec
+
+    monkeypatch.setattr(solver, "bsum_step", logged_step)
+    monkeypatch.setattr(escape, "attempt", logged_attempt)
+    _, rep = solve(gt.y_obs, cfg)
+    tol = cfg.conv_tol
+    attempts = [rec for kind, rec in log if kind == "attempt"]
+    assert all(rel < 10 * tol * (1 + 1e-9) for rel, _ in attempts)
+    early = 0
+    for rel, accepted in attempts:
+        early += rel >= tol
+        assert early <= 1
+        if accepted:
+            early = 0
+    # an early rejection, more sweeps, then the attempt at convergence
+    kinds = [kind for kind, _ in log]
+    rejected_early = [
+        i for i, (kind, rec) in enumerate(log)
+        if kind == "attempt" and rec[0] >= tol and not rec[1]
+    ]
+    assert rejected_early
+    assert kinds[rejected_early[0] + 1] == "sweep" and kinds[-1] == "attempt"
+    final_rel, final_accepted = log[-1][1]
+    assert final_rel < tol and not final_accepted
+    assert rep.stop_reason == "escape_rejected" and rep.escapes == 2
+    # the report lists every attempt, rejections included
+    assert [(a.early, a.decision.accepted) for a in rep.escape_attempts] == [
+        (rel >= tol, accepted) for rel, accepted in attempts
+    ]
+
+
+@pytest.mark.parametrize("instance_seed", [1, 2])
+def test_solve_grows_to_the_rank_at_low_density(instance_seed):
+    # With escapes tried only at convergence, these instances crept at width
+    # 3 until max_iter (held-out RE 0.49-0.50): the early escape reaches the
+    # generating rank 4.
+    gt = gen_synthetic(SynthSpec(600, 400, 4, 10.0, 0.9, instance_seed))
+    cfg = SolverConfig(p=0.5, lam=20.0, init_width=2)
+    F, rep = solve(gt.y_obs, cfg)
+    assert rep.stop_reason == "converged" and rep.final_width == 4
+    assert relative_error(F, gt.x_true, gt.test_mask) < 0.2
