@@ -1,4 +1,4 @@
-"""Rank-one escape step, tried when a factorization stalls or converges.
+"""Rank-one escape step, tried after an accepted one, at a stall, at convergence.
 
 At a stationary factor pair the most profitable rank-one direction to
 append is the top singular pair (sigma, u, v) of the embedded residual
@@ -108,21 +108,28 @@ def attempt(Y, F, cfg, R=None):
     """Try a rank-one escape at (Y, F); commit only on verified descent.
 
     R, the masked residual at F, spares its recomputation when the caller
-    holds it. Returns (factors, decision). On acceptance the factors gain
-    the balanced column pair (tau u, tau v); on rejection (including the
-    rollback path, a column that prune would drop and an unconverged
-    top-pair iteration) the input factors are returned unchanged.
+    holds it. R in a one-slot list is handed over: attempt takes it out,
+    so the caller keeps no second reference during the verifying gather,
+    and puts it back when it rejects the step before that gather, so the
+    caller can sweep on from it. Returns (factors, decision). On acceptance
+    the factors gain the balanced column pair (tau u, tau v); on rejection
+    (including the rollback path, a column that prune would drop and an
+    unconverged top-pair iteration) the input factors are returned
+    unchanged.
     """
-    R = masked_residual(Y, F) if R is None else R
+    held = R if isinstance(R, list) else [masked_residual(Y, F) if R is None else R]
+    R = held.pop()
     triple, dec = _top_pair_decision(R.to_csr(), cfg.lam, cfg.p)
     if not dec.accepted:
+        held.append(R)
         return F, dec
-    obj_old = objective_value(R.val, column_energies(F), cfg.lam, cfg.p)
-    R = None  # released before the verifying gather at F_new
     u, v = dec.tau * triple.u[:, None], dec.tau * triple.v[:, None]
     # prune would drop an appended column this short, leaving no descent
     if not kept_columns(u, v, cfg.prune_thres)[0]:
+        held.append(R)
         return F, replace(dec, accepted=False, tau=0.0, descent_value=0.0)
+    obj_old = objective_value(R.val, column_energies(F), cfg.lam, cfg.p)
+    R = None  # released before the verifying gather at F_new
     F_new = Factors(np.hstack([F.U, u]), np.hstack([F.V, v]))
     r_new = residual_values(Y, F_new)
     obj_new = objective_value(r_new, column_energies(F_new), cfg.lam, cfg.p)

@@ -13,10 +13,11 @@ Columns whose norm falls under a threshold are pruned after each sweep,
 which keeps the p-1 < 0 exponents away from zero and makes the final
 width rank-revealing. Optionally, a rank-one escape step (see escape.py)
 appends a scaled top singular pair of the embedded residual and iteration
-resumes. The escape is tried at two stall levels of the relative change:
-once early, the first time it falls below EARLY_ESCAPE_FACTOR * conv_tol
-since the last accepted escape, and again at convergence (below conv_tol).
-An early rejection does not stop the solve; a rejection at convergence does.
+resumes. The escape has three triggers: chained, on the sweep right after
+an accepted escape, whatever the relative change; early, the first time
+the relative change falls below EARLY_ESCAPE_FACTOR * conv_tol since the
+last accepted escape; and at convergence (below conv_tol). A chained or
+early rejection does not stop the solve; a rejection at convergence does.
 """
 
 import warnings
@@ -89,7 +90,7 @@ class EscapeEvent(NamedTuple):
 
 class EscapeAttempt(NamedTuple):
     iteration: int
-    early: bool  # tried at the early stall level, not at convergence
+    early: bool  # chained or at the early stall level, not at convergence
     decision: _escape.EscapeDecision
 
 
@@ -102,11 +103,14 @@ class SolveReport:
     retained zero column), "escape_unconverged" (at convergence, the
     seeded restarted Lanczos bidiagonalization for the escape's top pair
     hit its matvec cap; it takes precedence over "collapse") or
-    "max_iter"; converged is False for the last two. A rejected early
-    attempt sets no stop reason: sweeping goes on.
+    "max_iter"; converged is False for the last two. A rejected chained or
+    early attempt sets no stop reason: sweeping goes on.
 
     escape_events holds the accepted escapes; escape_attempts holds every
-    top-pair attempt, early and rejected ones included, with its decision.
+    top-pair attempt, chained, early and rejected ones included, with its
+    decision. An attempt's early flag is set when its relative change is at
+    or above conv_tol; a chained attempt is the one at the iteration after
+    an accepted escape's.
     """
 
     final_width: int
@@ -270,15 +274,19 @@ def solve(Y, cfg, F0=None):
     Convergence fires when |X_t+1 - X_t|_F / |X_t|_F < conv_tol (the
     denominator is replaced by 1 when the iterate is the zero matrix).
     With escapes enabled and budget left, a rank-one escape is attempted
-    at two stall levels. Early: the first time since the last accepted
-    escape that the relative change falls below EARLY_ESCAPE_FACTOR *
-    conv_tol, at most once between accepted escapes; a rejected early
-    attempt leaves F as it is and sweeping goes on. At convergence: each
-    time the test fires; a rejection (or an exhausted budget) terminates
-    the solve. An accepted escape at either level appends a column and
-    iteration resumes. The report's stop_reason records what ended the
-    solve, and reads "collapse" when prune left only the retained zero
-    column.
+    on three triggers. Chained: the sweep right after an accepted escape
+    ends in an attempt whatever its relative change, so a width that the
+    last escape showed to be too small is not polished first. Early: the
+    first time since the last accepted escape that the relative change
+    falls below EARLY_ESCAPE_FACTOR * conv_tol, at most once between
+    accepted escapes; a chained attempt made at that level is that early
+    attempt, and one made above it leaves the early attempt available. A
+    rejected chained or early attempt leaves F as it is and sweeping goes
+    on. At convergence: each time the test fires, also on a chained
+    sweep; a rejection (or an exhausted budget) terminates the solve. An
+    accepted escape on any trigger appends a column and iteration
+    resumes. The report's stop_reason records what ended the solve, and
+    reads "collapse" when prune left only the retained zero column.
 
     Returns (Factors, SolveReport). The report's objective trace has one
     entry for the initial point, one per sweep, and one per accepted
@@ -302,7 +310,7 @@ def solve(Y, cfg, F0=None):
     held, c, obj, self_new = _settle(Y, F, cfg)
     trace = [obj]
     events, attempts = [], []
-    tried_early = False  # an early attempt since the last accepted escape
+    tried_early = False  # an early stall attempt since the last accepted escape
     stop_reason = "max_iter"
     for t in range(1, cfg.max_iter + 1):
         rel = 0.0
@@ -317,23 +325,25 @@ def solve(Y, cfg, F0=None):
             rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         trace.append(obj)
         early = bool(rel >= cfg.conv_tol)
+        stall = rel < EARLY_ESCAPE_FACTOR * cfg.conv_tol
+        chained = bool(events) and events[-1].iteration == t - 1
         if early and (
-            tried_early
-            or rel >= EARLY_ESCAPE_FACTOR * cfg.conv_tol
-            or len(events) >= cfg.escape_budget
+            len(events) >= cfg.escape_budget
+            or not (chained or (stall and not tried_early))
         ):
             continue
         if len(events) >= cfg.escape_budget:
             stop_reason = "converged"
             break
         # A rejected escape returns F itself; an accepted one replaces it.
-        F, dec = _escape.attempt(Y, F, cfg, held.pop())
+        # attempt takes the held residual out of its list and puts it back
+        # on a rejection made before its verifying gather.
+        F, dec = _escape.attempt(Y, F, cfg, held)
         attempts.append(EscapeAttempt(t, early, dec))
         if not dec.accepted:
             if early:
-                # attempt took the only reference to the held residual
-                tried_early = True
-                held = [masked_residual(Y, F)]
+                tried_early = tried_early or stall
+                held = held or [masked_residual(Y, F)]  # gone after a rollback
                 continue
             stop_reason = (
                 "escape_rejected" if dec.power_converged else "escape_unconverged"

@@ -206,6 +206,51 @@ def test_attempt_reuses_a_given_residual(monkeypatch):
         assert np.array_equal(F_got.U, F_ref.U) and np.array_equal(F_got.V, F_ref.V)
 
 
+def test_attempt_hands_back_a_residual_it_rejects_before_gathering(monkeypatch):
+    # A residual handed over in a one-slot list comes back, the same object,
+    # from a rejection by the 1-D test or by prune. The list is empty during
+    # the verifying gather, and stays empty after an accepted step and after
+    # a rollback (the instance of test_rollback_path_of_a_real_attempt).
+    rng = np.random.default_rng(3)
+    gt = gen_synthetic(SynthSpec(30, 20, 3, 10.0, 0.5, 0))
+    F = Factors(0.01 * rng.standard_normal((30, 2)), 0.01 * rng.standard_normal((20, 2)))
+    cases = [
+        (gt.y_obs, F, SolverConfig(p=0.5, lam=1.0, init_width=2), "accepted"),
+        (gt.y_obs, F, SolverConfig(p=0.5, lam=1e4, init_width=2), "handed back"),
+        (
+            ObservedMatrix.from_dense(np.diag([1.0, 1e-11])),
+            Factors([[1.0], [0.0]], [[1.0], [0.0]]),
+            SolverConfig(p=1.0, lam=1e-12, init_width=1),
+            "handed back",
+        ),
+        (
+            ObservedMatrix.from_dense(np.diag([1.0, 0.5])),
+            Factors([[0.0], [np.sqrt(0.5)]], [[0.0], [np.sqrt(0.5)]]),
+            SolverConfig(p=1.0, lam=1.0 - 1e-8, init_width=1),
+            "rolled back",
+        ),
+    ]
+    held_at_gather = []
+    gather = escape.residual_values
+
+    def logged_gather(Y, F_new):
+        held_at_gather.append(len(held))
+        return gather(Y, F_new)
+
+    monkeypatch.setattr(escape, "residual_values", logged_gather)
+    for Y, F0, cfg, outcome in cases:
+        R = masked_residual(Y, F0)
+        held = [R]
+        _, dec = attempt(Y, F0, cfg, held)
+        assert dec.accepted == (outcome == "accepted")
+        assert dec.rip_gap == (outcome == "rolled back")
+        if outcome == "handed back":
+            assert len(held) == 1 and held[0] is R
+        else:
+            assert held == []
+    assert held_at_gather == [0, 0]
+
+
 def test_unconverged_power_iteration_rejects(monkeypatch):
     # the fully observed case that test_appended_pair_balanced_and_descending
     # accepts, with power iteration cut off after one step

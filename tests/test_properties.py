@@ -9,10 +9,12 @@ escape, and a documented stop reason; the collapsing lam must end in
 "collapse". A second strategy, width-1 starts on mostly observed low-rank
 matrices with a small lam, makes accepted escapes common, and its solves
 go through the same checks; explicit examples pin inputs that accept an
-escape at the early stall level, whatever Hypothesis draws.
+escape at the early stall level, and one that accepts a chained escape (on
+the sweep right after an accepted one), whatever Hypothesis draws.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -85,6 +87,9 @@ EARLY_ESCAPE_CASES = [
     early_escape_case(2, 7, 6, 1.0, 0.2),
     early_escape_case(0, 7, 6, 0.3, 0.5),
 ]
+# Accepts a chained escape, rejects the next chained attempt, then rejects
+# the early attempt at the stall level and the one at convergence.
+CHAINED_ESCAPE_CASE = early_escape_case(1, 8, 7, 0.5, 0.5)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -118,6 +123,7 @@ def test_solve_on_degenerate_inputs(case):
 @example(EARLY_ESCAPE_CASES[0])
 @example(EARLY_ESCAPE_CASES[1])
 @example(EARLY_ESCAPE_CASES[2])
+@example(CHAINED_ESCAPE_CASE)
 def test_solve_across_accepted_escapes(case):
     # the checks above, on inputs where most solves accept an escape
     test_solve_on_degenerate_inputs.hypothesis.inner_test(case)
@@ -128,3 +134,22 @@ def test_pinned_examples_accept_an_early_escape():
         _, rep = solve(Y, cfg)
         first = rep.escape_attempts[0]
         assert first.early and first.decision.accepted
+
+
+def test_pinned_example_accepts_a_chained_escape():
+    Y, cfg = CHAINED_ESCAPE_CASE
+    _, rep = solve(Y, cfg)
+    its = [a.iteration for a in rep.escape_attempts]
+    accepted = [a.decision.accepted for a in rep.escape_attempts]
+    assert accepted[:3] == [True, True, False] and its[1:3] == [its[0] + 1, its[0] + 2]
+    assert its[3] > its[2] + 1 and rep.escape_attempts[3].early
+
+
+def test_pinned_examples_stay_within_the_escape_budget():
+    # every cap up to the pinned one, chained escapes included
+    for Y, cfg in EARLY_ESCAPE_CASES + [CHAINED_ESCAPE_CASE]:
+        for cap in range(cfg.escape_check_max + 1):
+            capped = replace(cfg, escape_check_max=cap)
+            _, rep = solve(Y, capped)
+            accepted = sum(a.decision.accepted for a in rep.escape_attempts)
+            assert accepted == rep.escapes <= capped.escape_budget == cap

@@ -539,13 +539,11 @@ def test_solve_stop_reasons(monkeypatch):
     assert rep.escapes == 0 and rep.final_width == 2
 
 
-def test_solve_tries_one_early_escape_per_stall(monkeypatch):
-    # Each attempt is logged with the relative change of the sweep before it,
-    # computed from the dense iterates. Two escapes are accepted early, a third
-    # early attempt is rejected, and the solve sweeps on until it converges and
-    # its final attempt is rejected.
-    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
-    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=5)
+def _log_sweeps_and_attempts(monkeypatch):
+    # Logs each sweep's starting iterate, and each attempt with the relative
+    # change of the sweep before it (computed from the dense iterates),
+    # whether it was accepted, and whether it was chained: made on the sweep
+    # right after an accepted escape. A rejection must return F itself.
     log = []
     step, attempt = solver.bsum_step, escape.attempt
 
@@ -557,19 +555,32 @@ def test_solve_tries_one_early_escape_per_stall(monkeypatch):
         kind, X_old = log[-1]
         assert kind == "sweep"
         rel = np.linalg.norm(F.matrix() - X_old) / np.linalg.norm(X_old)
+        chained = len(log) > 1 and log[-2][0] == "attempt" and log[-2][1][1]
         F_new, dec = attempt(Y, F, *args)
-        log.append(("attempt", (rel, dec.accepted)))
+        assert dec.accepted or F_new is F
+        log.append(("attempt", (rel, dec.accepted, chained)))
         return F_new, dec
 
     monkeypatch.setattr(solver, "bsum_step", logged_step)
     monkeypatch.setattr(escape, "attempt", logged_attempt)
+    return log
+
+
+def test_solve_tries_one_early_escape_per_stall(monkeypatch):
+    # An escape is accepted early, chained attempts follow until one is
+    # rejected, the one early attempt at the stall level is rejected, and the
+    # solve sweeps on until it converges and its final attempt is rejected.
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=5)
+    log = _log_sweeps_and_attempts(monkeypatch)
     _, rep = solve(gt.y_obs, cfg)
     tol = cfg.conv_tol
     attempts = [rec for kind, rec in log if kind == "attempt"]
-    assert all(rel < 10 * tol * (1 + 1e-9) for rel, _ in attempts)
+    assert all(rel < 10 * tol * (1 + 1e-9) or chained for rel, _, chained in attempts)
+    # a chained attempt at the early stall level is that level's one attempt
     early = 0
-    for rel, accepted in attempts:
-        early += rel >= tol
+    for rel, accepted, chained in attempts:
+        early += rel >= tol and (rel < 10 * tol or not chained)
         assert early <= 1
         if accepted:
             early = 0
@@ -581,13 +592,54 @@ def test_solve_tries_one_early_escape_per_stall(monkeypatch):
     ]
     assert rejected_early
     assert kinds[rejected_early[0] + 1] == "sweep" and kinds[-1] == "attempt"
-    final_rel, final_accepted = log[-1][1]
+    final_rel, final_accepted, _ = log[-1][1]
     assert final_rel < tol and not final_accepted
-    assert rep.stop_reason == "escape_rejected" and rep.escapes == 2
+    assert rep.stop_reason == "escape_rejected" and rep.escapes == 4
     # the report lists every attempt, rejections included
     assert [(a.early, a.decision.accepted) for a in rep.escape_attempts] == [
-        (rel >= tol, accepted) for rel, accepted in attempts
+        (rel >= tol, accepted) for rel, accepted, _ in attempts
     ]
+
+
+def test_a_rejected_chained_attempt_leaves_the_early_attempt(monkeypatch):
+    # The instance above: after the first escape, chained attempts are made
+    # sweep after sweep until one is rejected above the early stall level.
+    # The solve sweeps on, and its early attempt at the stall level is still
+    # made.
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=5)
+    log = _log_sweeps_and_attempts(monkeypatch)
+    _, rep = solve(gt.y_obs, cfg)
+    tol = cfg.conv_tol
+    attempts = [rec for kind, rec in log if kind == "attempt"]
+    assert [accepted for _, accepted, _ in attempts[:4]] == [True] * 4
+    assert [chained for _, _, chained in attempts[:5]] == [False] + [True] * 4
+    rel, accepted, _ = attempts[4]
+    assert rel >= 10 * tol and not accepted
+    its = [a.iteration for a in rep.escape_attempts]
+    assert its[1:5] == list(range(its[0] + 1, its[0] + 5))
+    # the stall-level attempt, some sweeps after the rejected chained one
+    rel, _, chained = attempts[5]
+    assert not chained and tol <= rel < 10 * tol * (1 + 1e-9)
+    assert its[5] > its[4] + 1
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
+def test_solve_attempts_no_escape_once_the_budget_is_spent(monkeypatch, budget):
+    # The instance above accepts four escapes when the budget allows five,
+    # so each of these budgets is spent, the last ones by chained attempts.
+    gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
+    cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=budget)
+    log = _log_sweeps_and_attempts(monkeypatch)
+    _, rep = solve(gt.y_obs, cfg)
+    # every attempt made was accepted: none came once the budget was spent
+    accepted = [rec[1] for kind, rec in log if kind == "attempt"]
+    assert accepted == [True] * budget
+    assert rep.escapes == budget == cfg.escape_budget
+    assert rep.stop_reason == "converged" and log[-1][0] == "sweep"
+    # a spent budget ends no chain: the solve sweeps on to convergence
+    if budget:
+        assert rep.iters > rep.escape_events[-1].iteration + 1
 
 
 @pytest.mark.parametrize("instance_seed", [1, 2])
