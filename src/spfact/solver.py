@@ -14,10 +14,12 @@ which keeps the p-1 < 0 exponents away from zero and makes the final
 width rank-revealing. Optionally, a rank-one escape step (see escape.py)
 appends a scaled top singular pair of the embedded residual and iteration
 resumes. The escape has three triggers: chained, on the sweep right after
-an accepted escape, whatever the relative change; early, the first time
-the relative change falls below EARLY_ESCAPE_FACTOR * conv_tol since the
-last accepted escape; and at convergence (below conv_tol). A chained or
-early rejection does not stop the solve; a rejection at convergence does.
+an accepted escape, whatever the relative change; early, the first sweep
+since the last accepted escape that reaches the stall, where the relative
+change falls below EARLY_ESCAPE_FACTOR * conv_tol or the objective's
+relative decrease is at most conv_tol; and at convergence (relative change
+below conv_tol). A chained or early rejection does not stop the solve; a
+rejection at convergence does.
 """
 
 import warnings
@@ -32,8 +34,10 @@ from .observed import masked_residual
 
 # A width that the next escape will grow need not be polished to conv_tol:
 # the escape is first tried once the relative change falls below this
-# multiple of conv_tol. A factor of 100 accepted a spurious column on the
-# benchmark's escape_sparse instance (1500x1000, rank 3, 4% observed).
+# multiple of conv_tol, or once a sweep lowers the objective by at most
+# conv_tol, relative, if that comes first. A factor of 100 accepted a
+# spurious column on the benchmark's escape_sparse instance (1500x1000,
+# rank 3, 4% observed).
 EARLY_ESCAPE_FACTOR = 10.0
 
 
@@ -90,7 +94,7 @@ class EscapeEvent(NamedTuple):
 
 class EscapeAttempt(NamedTuple):
     iteration: int
-    early: bool  # chained or at the early stall level, not at convergence
+    early: bool  # chained or at the early stall, not at convergence
     decision: _escape.EscapeDecision
 
 
@@ -109,8 +113,10 @@ class SolveReport:
     escape_events holds the accepted escapes; escape_attempts holds every
     top-pair attempt, chained, early and rejected ones included, with its
     decision. An attempt's early flag is set when its relative change is at
-    or above conv_tol; a chained attempt is the one at the iteration after
-    an accepted escape's.
+    or above conv_tol: the attempt was chained, or made at the early stall,
+    where the relative change is below EARLY_ESCAPE_FACTOR * conv_tol or the
+    sweep lowered the objective by at most conv_tol, relative. A chained
+    attempt is the one at the iteration after an accepted escape's.
     """
 
     final_width: int
@@ -277,10 +283,13 @@ def solve(Y, cfg, F0=None):
     on three triggers. Chained: the sweep right after an accepted escape
     ends in an attempt whatever its relative change, so a width that the
     last escape showed to be too small is not polished first. Early: the
-    first time since the last accepted escape that the relative change
-    falls below EARLY_ESCAPE_FACTOR * conv_tol, at most once between
-    accepted escapes; a chained attempt made at that level is that early
-    attempt, and one made above it leaves the early attempt available. A
+    first sweep since the last accepted escape that reaches the stall, at
+    most once between accepted escapes. The stall has two levels: the
+    relative change falls below EARLY_ESCAPE_FACTOR * conv_tol, or the
+    sweep lowers the objective by at most conv_tol times its new value
+    (the objective often goes flat while the iterate still creeps). Both
+    levels share the one early attempt; a chained attempt made at the stall
+    is that early attempt, and one made above it leaves it available. A
     rejected chained or early attempt leaves F as it is and sweeping goes
     on. At convergence: each time the test fires, also on a chained
     sweep; a rejection (or an exhausted budget) terminates the solve. An
@@ -325,7 +334,10 @@ def solve(Y, cfg, F0=None):
             rel = np.sqrt(max(d2, 0.0)) / (den if den > 0.0 else 1.0)
         trace.append(obj)
         early = bool(rel >= cfg.conv_tol)
-        stall = rel < EARLY_ESCAPE_FACTOR * cfg.conv_tol
+        stall = (
+            rel < EARLY_ESCAPE_FACTOR * cfg.conv_tol
+            or trace[-2] - obj <= cfg.conv_tol * obj
+        )
         chained = bool(events) and events[-1].iteration == t - 1
         if early and (
             len(events) >= cfg.escape_budget

@@ -9,8 +9,9 @@ escape, and a documented stop reason; the collapsing lam must end in
 "collapse". A second strategy, width-1 starts on mostly observed low-rank
 matrices with a small lam, makes accepted escapes common, and its solves
 go through the same checks; explicit examples pin inputs that accept an
-escape at the early stall level, and one that accepts a chained escape (on
-the sweep right after an accepted one), whatever Hypothesis draws.
+escape at the early stall level, one that accepts a chained escape (on the
+sweep right after an accepted one) and one whose first escape comes when the
+objective stalls before the iterate does, whatever Hypothesis draws.
 """
 
 import warnings
@@ -20,6 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from spfact import ObservedMatrix, SolverConfig, solve
+from spfact.solver import EARLY_ESCAPE_FACTOR
 
 STOP_REASONS = {"converged", "escape_rejected", "collapse", "escape_unconverged", "max_iter"}
 COLLAPSE_LAM = 1e6
@@ -90,6 +92,10 @@ EARLY_ESCAPE_CASES = [
 # Accepts a chained escape, rejects the next chained attempt, then rejects
 # the early attempt at the stall level and the one at convergence.
 CHAINED_ESCAPE_CASE = early_escape_case(1, 8, 7, 0.5, 0.5)
+# Accepts its first escape at the objective stall level: that sweep lowers the
+# objective by at most conv_tol, relative, while its iterate still moves by
+# more than EARLY_ESCAPE_FACTOR * conv_tol.
+OBJECTIVE_STALL_CASE = early_escape_case(3, 7, 5, 1.0, 0.5)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -124,6 +130,7 @@ def test_solve_on_degenerate_inputs(case):
 @example(EARLY_ESCAPE_CASES[1])
 @example(EARLY_ESCAPE_CASES[2])
 @example(CHAINED_ESCAPE_CASE)
+@example(OBJECTIVE_STALL_CASE)
 def test_solve_across_accepted_escapes(case):
     # the checks above, on inputs where most solves accept an escape
     test_solve_on_degenerate_inputs.hypothesis.inner_test(case)
@@ -143,6 +150,20 @@ def test_pinned_example_accepts_a_chained_escape():
     accepted = [a.decision.accepted for a in rep.escape_attempts]
     assert accepted[:3] == [True, True, False] and its[1:3] == [its[0] + 1, its[0] + 2]
     assert its[3] > its[2] + 1 and rep.escape_attempts[3].early
+
+
+def test_pinned_example_escapes_at_the_objective_stall():
+    Y, cfg = OBJECTIVE_STALL_CASE
+    _, rep = solve(Y, cfg)
+    first = rep.escape_attempts[0]
+    assert first.early and first.decision.accepted
+    # the sweeps up to that attempt, replayed without escapes
+    t = first.iteration
+    trace = rep.objective_trace
+    assert trace[t - 1] - trace[t] <= cfg.conv_tol * trace[t]
+    X = [solve(Y, replace(cfg, escape_enabled=False, max_iter=k))[0].matrix() for k in (t - 1, t)]
+    rel = np.linalg.norm(X[1] - X[0]) / np.linalg.norm(X[0])
+    assert rel >= EARLY_ESCAPE_FACTOR * cfg.conv_tol
 
 
 def test_pinned_examples_stay_within_the_escape_budget():

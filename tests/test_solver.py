@@ -539,24 +539,31 @@ def test_solve_stop_reasons(monkeypatch):
     assert rep.escapes == 0 and rep.final_width == 2
 
 
-def _log_sweeps_and_attempts(monkeypatch):
+def _log_sweeps_and_attempts(monkeypatch, drops=None):
     # Logs each sweep's starting iterate, and each attempt with the relative
     # change of the sweep before it (computed from the dense iterates),
     # whether it was accepted, and whether it was chained: made on the sweep
-    # right after an accepted escape. A rejection must return F itself.
-    log = []
+    # right after an accepted escape. A rejection must return F itself. When
+    # drops is a list, each attempt also appends to it the relative objective
+    # decrease of the sweep before it, read from the objective before and
+    # after that sweep.
+    log, start = [], []
     step, attempt = solver.bsum_step, escape.attempt
 
-    def logged_step(Y, F, *args):
+    def logged_step(Y, F, cfg, *args):
         log.append(("sweep", F.matrix()))
-        return step(Y, F, *args)
+        start[:] = [objective(Y, F, cfg)]
+        return step(Y, F, cfg, *args)
 
-    def logged_attempt(Y, F, *args):
+    def logged_attempt(Y, F, cfg, *args):
         kind, X_old = log[-1]
         assert kind == "sweep"
         rel = np.linalg.norm(F.matrix() - X_old) / np.linalg.norm(X_old)
         chained = len(log) > 1 and log[-2][0] == "attempt" and log[-2][1][1]
-        F_new, dec = attempt(Y, F, *args)
+        if drops is not None:
+            after = objective(Y, F, cfg)
+            drops.append((start[0] - after) / after)
+        F_new, dec = attempt(Y, F, cfg, *args)
         assert dec.accepted or F_new is F
         log.append(("attempt", (rel, dec.accepted, chained)))
         return F_new, dec
@@ -572,15 +579,22 @@ def test_solve_tries_one_early_escape_per_stall(monkeypatch):
     # solve sweeps on until it converges and its final attempt is rejected.
     gt = gen_synthetic(SynthSpec(60, 50, 4, 20.0, 0.5, 1))
     cfg = SolverConfig(p=0.5, lam=3.0, init_width=2, escape_check_max=5)
-    log = _log_sweeps_and_attempts(monkeypatch)
+    drops = []
+    log = _log_sweeps_and_attempts(monkeypatch, drops)
     _, rep = solve(gt.y_obs, cfg)
     tol = cfg.conv_tol
     attempts = [rec for kind, rec in log if kind == "attempt"]
-    assert all(rel < 10 * tol * (1 + 1e-9) or chained for rel, _, chained in attempts)
+    # at the stall: the iterate's relative change is below 10 * tol, or the
+    # sweep's relative objective decrease is at most tol
+    stall = [
+        rel < 10 * tol * (1 + 1e-9) or drop <= tol * (1 + 1e-9)
+        for (rel, _, _), drop in zip(attempts, drops, strict=True)
+    ]
+    assert all(at_stall or chained for at_stall, (_, _, chained) in zip(stall, attempts))
     # a chained attempt at the early stall level is that level's one attempt
     early = 0
-    for rel, accepted, chained in attempts:
-        early += rel >= tol and (rel < 10 * tol or not chained)
+    for at_stall, (rel, accepted, chained) in zip(stall, attempts):
+        early += rel >= tol and (at_stall or not chained)
         assert early <= 1
         if accepted:
             early = 0
@@ -622,6 +636,24 @@ def test_a_rejected_chained_attempt_leaves_the_early_attempt(monkeypatch):
     rel, _, chained = attempts[5]
     assert not chained and tol <= rel < 10 * tol * (1 + 1e-9)
     assert its[5] > its[4] + 1
+
+
+def test_solve_tries_the_escape_when_the_objective_stalls(monkeypatch):
+    # Table1's geometry at generator seed 2: the objective goes flat while
+    # the iterate still moves by more than 10 * conv_tol per sweep. The first
+    # attempt comes at the objective stall level and is accepted, and the
+    # solve grows from width 5 to the generating rank.
+    gt = gen_synthetic(SynthSpec(200, 200, 10, 10.0, 0.4, 2))
+    cfg = SolverConfig(p=0.5, lam=100.0, init_width=5)
+    drops = []
+    log = _log_sweeps_and_attempts(monkeypatch, drops)
+    F, rep = solve(gt.y_obs, cfg)
+    tol = cfg.conv_tol
+    rel, accepted, chained = next(rec for kind, rec in log if kind == "attempt")
+    assert rel >= 10 * tol and drops[0] <= tol
+    assert accepted and not chained and rep.escape_attempts[0].early
+    assert rep.stop_reason == "converged" and rep.final_width == 10
+    assert relative_error(F, gt.x_true, gt.test_mask) <= 0.2
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 3])
